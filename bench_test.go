@@ -258,8 +258,8 @@ func BenchmarkComponent_GraphBuild(b *testing.B) {
 	blocks := blocking.CleanWorkflow(blocking.TokenBlocking(ds), 0.5, 0.8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := graph.Build(blocks)
-		if g.NumEdges() == 0 {
+		g, err := graph.BuildCSR(context.Background(), blocks, nil, 1)
+		if err != nil || g.NumEdges() == 0 {
 			b.Fatal("no edges")
 		}
 	}
@@ -267,10 +267,14 @@ func BenchmarkComponent_GraphBuild(b *testing.B) {
 
 func BenchmarkComponent_ChiSquaredWeighting(b *testing.B) {
 	ds := datasets.AR1(0.2, 42)
-	g := graph.Build(blocking.CleanWorkflow(blocking.TokenBlocking(ds), 0.5, 0.8))
+	g, err := graph.BuildCSR(context.Background(), blocking.CleanWorkflow(blocking.TokenBlocking(ds), 0.5, 0.8), nil, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	degrees := g.Degrees()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		weights.Blast().Apply(g)
+		weights.Blast().ApplyCSR(g, degrees, g.NumEdges(), 1)
 	}
 }
 
@@ -383,70 +387,14 @@ func BenchmarkAblation_WeightingScheme(b *testing.B) {
 	}
 }
 
-// BenchmarkEngine_MetaBlocking compares the edge-list and node-centric
-// meta-blocking engines end to end (graph + weighting + pruning) on the
-// same cleaned block collection. Run with -benchmem: the node-centric
-// engine's B/op is the headline — it never allocates the global edge
-// accumulator.
-func BenchmarkEngine_MetaBlocking(b *testing.B) {
-	ds := datasets.AR1(0.4, 42)
-	blocks := blocking.CleanWorkflow(blocking.TokenBlocking(ds), 0.5, 0.8)
-	for _, engine := range []metablocking.Engine{metablocking.EdgeList, metablocking.NodeCentric} {
-		b.Run(engine.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			cfg := metablocking.DefaultConfig()
-			cfg.Engine = engine
-			cfg.Workers = 1
-			var pairs int
-			for i := 0; i < b.N; i++ {
-				res := metablocking.Run(blocks, cfg)
-				pairs = len(res.Pairs)
-			}
-			b.ReportMetric(float64(pairs), "pairs")
-		})
-	}
-}
-
-// BenchmarkEngine_CSRBuild isolates graph construction: edge-map
-// accumulation (Build) vs per-node CSR assembly (BuildCSR), serial and
-// parallel.
-func BenchmarkEngine_CSRBuild(b *testing.B) {
-	ds := datasets.AR1(0.4, 42)
-	blocks := blocking.CleanWorkflow(blocking.TokenBlocking(ds), 0.5, 0.8)
-	b.Run("edge-list", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if g := graph.Build(blocks); g.NumEdges() == 0 {
-				b.Fatal("no edges")
-			}
-		}
-	})
-	b.Run("node-centric", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if g := graph.BuildCSR(blocks); g.NumEdges() == 0 {
-				b.Fatal("no edges")
-			}
-		}
-	})
-	b.Run("node-centric-parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if g := graph.BuildCSRParallel(blocks, 4); g.NumEdges() == 0 {
-				b.Fatal("no edges")
-			}
-		}
-	})
-}
-
-func BenchmarkComponent_GraphBuildParallel(b *testing.B) {
+func BenchmarkComponent_GraphBuildWorkers(b *testing.B) {
 	ds := datasets.AR1(0.4, 42)
 	blocks := blocking.CleanWorkflow(blocking.TokenBlocking(ds), 0.5, 0.8)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				g := graph.BuildParallel(blocks, workers)
-				if g.NumEdges() == 0 {
+				g, err := graph.BuildCSR(context.Background(), blocks, nil, workers)
+				if err != nil || g.NumEdges() == 0 {
 					b.Fatal("no edges")
 				}
 			}

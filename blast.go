@@ -127,8 +127,7 @@ const (
 	// the build's resident footprint exceeds Options.MemoryBudget,
 	// serving subsequent passes through a bounded page cache. Retained
 	// pairs and served candidates are byte-identical to StorageMemory;
-	// only peak memory (and speed) differ. Requires the NodeCentric
-	// engine — the edge-list engine materializes every edge by design.
+	// only peak memory (and speed) differ.
 	StorageFile
 )
 
@@ -265,15 +264,17 @@ type ServerOptions struct {
 	SnapshotEvery int
 }
 
-// maxServerShards bounds the shard count: each shard is a full index
-// replica, so triple-digit counts are a configuration error long before
-// they are a scaling strategy.
+// maxServerShards bounds the shard count: under either topology every
+// shard runs its own write path and holds the full block collection (a
+// replicated shard also a full index replica, a partitioned shard a
+// seat in every aggregate exchange round), so triple-digit counts are a
+// configuration error long before they are a scaling strategy.
 const maxServerShards = 256
 
 // Validate checks the server options, mirroring Options.Validate.
 func (so ServerOptions) Validate() error {
 	if so.Shards < 0 || so.Shards > maxServerShards {
-		return fmt.Errorf("blast: Shards = %d outside [0, %d] (0 selects 1; each shard is a full replica)", so.Shards, maxServerShards)
+		return fmt.Errorf("blast: Shards = %d outside [0, %d] (0 selects 1; every shard holds the full block collection)", so.Shards, maxServerShards)
 	}
 	if err := so.Topology.Validate(); err != nil {
 		return err
@@ -383,13 +384,6 @@ type Options struct {
 	Scheme weights.Scheme
 	// Pruning is the pruning algorithm (default BlastWNP).
 	Pruning metablocking.Pruning
-	// Engine selects the meta-blocking execution strategy: EdgeList
-	// (default) materializes the blocking graph's edge list, NodeCentric
-	// streams over a per-node CSR adjacency and keeps peak memory
-	// proportional to the adjacency. Retained pairs are identical.
-	// Ignored when Supervised is set: the supervised baseline needs
-	// per-edge feature vectors and always builds the edge list.
-	Engine metablocking.Engine
 	// C is the local threshold divisor theta_i = M_i/C (default 2;
 	// higher C retains more comparisons — higher PC, lower PQ).
 	C float64
@@ -400,36 +394,32 @@ type Options struct {
 	K int
 
 	// Supervised switches Phase 3 to supervised meta-blocking (SVM over
-	// edge features, trained on TrainFraction of the ground truth). Used
-	// only for the paper's comparison rows. Always runs on the edge-list
-	// graph; the Engine option does not apply.
+	// node-local edge features, trained on TrainFraction of the ground
+	// truth). Used only for the paper's comparison rows. It classifies
+	// every edge of a resident blocking graph, so it needs StorageMemory.
 	Supervised bool
 	// TrainFraction is the fraction of matches used to train the
 	// supervised baseline (default 0.1).
 	TrainFraction float64
 	// Seed drives the deterministic randomness (LSH, SVM sampling).
 	Seed uint64
-	// Workers parallelizes blocking-graph construction AND the streaming
-	// pruning passes (thresholds, top-k marking, retention — everywhere
-	// a CSR is pruned: batch runs, IndexBlocks, the incremental index's
-	// re-derivations, the sharded server's replicas): 0 uses one worker
-	// per CPU, 1 forces serial execution, >1 uses exactly that many
-	// goroutines. Results are byte-identical at every count — pruning
-	// runs over fixed node chunks with float partials combined in chunk
-	// order, so parallelism never moves a ulp. With the default EdgeList
-	// engine, 0 only engages build parallelism on collections large
-	// enough for the sharded builder to pay off (see
-	// metablocking.Config.Workers); explicit counts are always honored.
-	// Like Engine, ignored when Supervised is set (the supervised
-	// baseline always builds its graph serially).
+	// Workers parallelizes blocking-graph construction, weighting AND
+	// the streaming pruning passes (thresholds, top-k marking, retention
+	// — everywhere a CSR is built or pruned: batch runs, IndexBlocks, the
+	// incremental index's re-derivations, the sharded server's shards):
+	// 0 uses one worker per CPU, 1 forces serial execution, >1 uses
+	// exactly that many goroutines. Results are byte-identical at every
+	// count — every graph row and entry weight is a pure function of its
+	// node, and pruning runs over fixed node chunks with float partials
+	// combined in chunk order, so parallelism never moves a ulp. The
+	// Supervised baseline uses it for its graph build.
 	Workers int
 
 	// Storage selects where the blocking graph's adjacency lives during
 	// meta-blocking and index builds: StorageMemory (default) keeps it
 	// resident, StorageFile spills it to segment files past MemoryBudget
 	// and serves passes through a bounded page cache. Byte-identical
-	// output either way. StorageFile requires the NodeCentric engine and
-	// does not apply to Supervised runs.
+	// output either way. StorageFile does not apply to Supervised runs.
 	Storage Storage
 	// MemoryBudget bounds (in bytes) the resident footprint of the
 	// adjacency entries a StorageFile build may accumulate before
@@ -493,11 +483,6 @@ func (o Options) Validate() error {
 	default:
 		return fmt.Errorf("blast: unknown pruning %d", int(o.Pruning))
 	}
-	switch o.Engine {
-	case metablocking.EdgeList, metablocking.NodeCentric:
-	default:
-		return fmt.Errorf("blast: unknown engine %d", int(o.Engine))
-	}
 	if o.C <= 0 {
 		return fmt.Errorf("blast: C = %v must be > 0: it divides the per-node maximum weight (theta_i = M_i/C)", o.C)
 	}
@@ -514,11 +499,8 @@ func (o Options) Validate() error {
 		return err
 	}
 	if o.Storage == StorageFile {
-		if o.Engine != metablocking.NodeCentric {
-			return fmt.Errorf("blast: StorageFile requires the NodeCentric engine: the edge-list engine materializes every edge in memory by design")
-		}
 		if o.Supervised {
-			return fmt.Errorf("blast: StorageFile does not apply to Supervised runs: the supervised baseline needs a resident per-edge feature matrix")
+			return fmt.Errorf("blast: StorageFile does not apply to Supervised runs: the supervised baseline classifies every edge of a resident graph")
 		}
 	} else if o.MemoryBudget != 0 || o.SpillDir != "" {
 		return fmt.Errorf("blast: MemoryBudget/SpillDir = %d/%q without StorageFile: the spill knobs need file storage", o.MemoryBudget, o.SpillDir)

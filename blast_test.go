@@ -1,6 +1,9 @@
 package blast
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -307,30 +310,45 @@ func TestRunParallelWorkersIdentical(t *testing.T) {
 	}
 }
 
-// TestRunEngineIdentical: the public pipeline must return identical
-// pairs (and quality) whichever meta-blocking engine is selected.
+// TestRunEngineIdentical pins the public pipeline's output to the
+// pairs the retired edge-list engine produced on the same inputs: a
+// count and a SHA-256 prefix over the canonical pair list, recorded
+// before that engine was deleted. The CSR engine must reproduce them
+// byte for byte, at every worker count.
 func TestRunEngineIdentical(t *testing.T) {
+	pinned := map[string]struct {
+		pairs  int
+		digest string
+	}{
+		"ar1":    {229, "c904cecb81008dba"},
+		"census": {214, "bc67ffb5da790f1d"},
+	}
 	for _, ds := range []*model.Dataset{datasets.AR1(0.1, 9), datasets.Census(0.2, 9)} {
-		legacy, err := Run(ds, DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt := DefaultOptions()
-		opt.Engine = metablocking.NodeCentric
-		stream, err := Run(ds, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(legacy.Pairs) != len(stream.Pairs) {
-			t.Fatalf("%s: engine changed output: %d vs %d pairs", ds.Name, len(legacy.Pairs), len(stream.Pairs))
-		}
-		for i := range legacy.Pairs {
-			if legacy.Pairs[i] != stream.Pairs[i] {
-				t.Fatalf("%s: node-centric pairs differ from edge-list", ds.Name)
+		for _, workers := range []int{0, 1, 3} {
+			opt := DefaultOptions()
+			opt.Workers = workers
+			res, err := Run(ds, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := pinned[ds.Name]
+			if got := pairsDigest(res.Pairs); len(res.Pairs) != want.pairs || got != want.digest {
+				t.Errorf("%s workers=%d: %d pairs digest %s, want %d pairs digest %s",
+					ds.Name, workers, len(res.Pairs), got, want.pairs, want.digest)
 			}
 		}
-		if legacy.Quality != stream.Quality {
-			t.Errorf("%s: quality differs across engines", ds.Name)
-		}
 	}
+}
+
+// pairsDigest is the first 16 hex digits of the SHA-256 of the pairs
+// as consecutive little-endian (U, V) uint32s.
+func pairsDigest(pairs []model.IDPair) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, p := range pairs {
+		binary.LittleEndian.PutUint32(buf[:4], uint32(p.U))
+		binary.LittleEndian.PutUint32(buf[4:], uint32(p.V))
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
 }

@@ -42,15 +42,13 @@ func run() error {
 	printBlocks(blocks)
 
 	// --- Figure 1c: the blocking graph with CBS weights ------------
-	g := graph.Build(blocks)
-	weights.Scheme{Kind: weights.CBS}.Apply(g)
-	fmt.Println("\n=== Blocking graph, co-occurrence weights (Figure 1c) ===")
-	printGraph(g)
-
 	// --- Figure 1d: traditional WNP keeps two superfluous edges ----
-	wnp := metablocking.RunOnGraph(g, metablocking.Config{
+	wnp := metablocking.Run(blocks, metablocking.Config{
 		Scheme: weights.Scheme{Kind: weights.CBS}, Pruning: metablocking.WNP1,
 	})
+	fmt.Println("\n=== Blocking graph, co-occurrence weights (Figure 1c) ===")
+	printGraph(wnp.CSR)
+
 	fmt.Println("\n=== Traditional WNP pruning (Figure 1d) ===")
 	for _, p := range wnp.Pairs {
 		marker := "superfluous!"
@@ -125,9 +123,9 @@ func printBlocks(c *blocking.Collection) {
 	}
 }
 
-func printGraph(g *graph.Graph) {
-	for i := range g.Edges {
-		e := &g.Edges[i]
-		fmt.Printf("  p%d - p%d  weight %.0f\n", e.U+1, e.V+1, e.Weight)
-	}
+// printGraph lists every edge once, from its canonical (u < v) entry.
+func printGraph(g *graph.CSR) {
+	g.Canonical(func(u, v int32, p int64) {
+		fmt.Printf("  p%d - p%d  weight %.0f\n", u+1, v+1, g.Weights[p])
+	})
 }

@@ -143,9 +143,8 @@ func (p *Pipeline) BuildIndex(ctx context.Context, ds *model.Dataset) (*Index, e
 // IndexBlocks freezes a Blocks artifact into an Index: the node-centric
 // (CSR) blocking graph is built and weighted, the configured pruning
 // decides retention, and the per-entry decisions are kept alongside the
-// weights for per-profile lookup. The engine option is ignored — an
-// index is by nature node-centric — but the retained pairs are
-// byte-identical to both engines' batch output. The co-occurrence
+// weights for per-profile lookup. The retained pairs are byte-identical
+// to the batch MetaBlock output. The co-occurrence
 // statistics are released after weighting (a query-only index stays at
 // its serving footprint); the first Insert re-derives them with one
 // graph pass over the retained collection.
@@ -171,7 +170,7 @@ func (p *Pipeline) indexBlocks(ctx context.Context, blocks *Blocks, keepStats bo
 	if sp := p.opt.spillOptions(""); sp != nil {
 		csr, err = graph.BuildCSRSpillCtx(ctx, c, *sp)
 	} else {
-		csr, err = graph.BuildCSRParallelCtx(ctx, c, p.opt.Workers)
+		csr, err = graph.BuildCSR(ctx, c, nil, p.opt.Workers)
 	}
 	if err != nil {
 		return nil, err
@@ -184,7 +183,7 @@ func (p *Pipeline) indexBlocks(ctx context.Context, blocks *Blocks, keepStats bo
 		}
 		return nil, err
 	}
-	p.opt.Scheme.ApplyCSR(csr)
+	p.opt.Scheme.ApplyCSR(csr, csr.Degrees(), csr.NumEdges(), p.opt.Workers)
 	if !keepStats {
 		csr.ReleaseStats()
 	}
@@ -579,7 +578,7 @@ func (ix *Index) ensureMutableLocked() error {
 		// (same collection, deterministic builder), so the computed
 		// weights carry over entry for entry. It also restores the
 		// per-node block counts a query-only index released.
-		rebuilt, err := graph.BuildCSRParallelCtx(context.Background(), ix.collection, ix.opt.Workers)
+		rebuilt, err := graph.BuildCSR(context.Background(), ix.collection, nil, ix.opt.Workers)
 		if err != nil {
 			panic(err) // background context never cancels
 		}
@@ -607,7 +606,7 @@ func (ix *Index) ensureResidentLocked() error {
 	if err != nil {
 		return err
 	}
-	rebuilt, err := graph.BuildCSRParallelCtx(context.Background(), ix.collection, ix.opt.Workers)
+	rebuilt, err := graph.BuildCSR(context.Background(), ix.collection, nil, ix.opt.Workers)
 	if err != nil {
 		panic(err) // background context never cancels
 	}
@@ -1076,7 +1075,7 @@ func (ix *Index) rebuildDecisionsLocked() error {
 		// broken invariant — surfaced to InsertAll, not a panic.
 		return err
 	}
-	ix.opt.Scheme.ApplyCSR(csr)
+	ix.opt.Scheme.ApplyCSR(csr, csr.Degrees(), csr.NumEdges(), ix.opt.Workers)
 	pairs, retained, theta, err := freezeDecisions(ctx, csr, ix.opt)
 	if err != nil {
 		return err // background context never cancels
@@ -1163,7 +1162,7 @@ func (p *Pipeline) restoreIndex(ctx context.Context, blocks *Blocks, snap *shard
 			ix.stats.Inserts++
 		}
 	}
-	csr, err := graph.BuildCSRParallelCtx(ctx, c, p.opt.Workers)
+	csr, err := graph.BuildCSR(ctx, c, nil, p.opt.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -10,8 +10,9 @@ import (
 // RandomCollection builds a randomized, structurally valid (Validate-clean)
 // block collection: profiles scattered over blocks of varying size, with
 // varied entropies including zero. It exists for property-style tests and
-// benchmarks — notably the engine-equivalence harness, which asserts that
-// every graph builder and pruning engine agrees on arbitrary collections —
+// benchmarks — notably the reference-equivalence harness, which asserts
+// that the meta-blocking engine agrees with a naive oracle on arbitrary
+// collections —
 // and draws all randomness from the caller's seeded generator, so a given
 // (rng state, shape) is fully reproducible.
 //

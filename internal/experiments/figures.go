@@ -8,7 +8,6 @@ import (
 	"blast/internal/attr"
 	"blast/internal/blocking"
 	"blast/internal/datasets"
-	"blast/internal/graph"
 	"blast/internal/lsh"
 	"blast/internal/metablocking"
 	"blast/internal/metrics"
@@ -75,16 +74,15 @@ func Figure8(cfg Config, names []string) ([]Figure8Row, error) {
 			return nil, err
 		}
 		blocks, _ := buildBlocks(ds, "L", nil)
-		g := graph.Build(blocks)
 
 		// wnp: average of wnp1 and wnp2 across classic schemes.
-		w1 := averageClassic(g, metablocking.WNP1, ds.Truth)
-		w2 := averageClassic(g, metablocking.WNP2, ds.Truth)
+		w1 := averageClassic(blocks, metablocking.WNP1, ds.Truth)
+		w2 := averageClassic(blocks, metablocking.WNP2, ds.Truth)
 		out = append(out, Figure8Row{Dataset: name, Variant: "wnp",
 			PC: (w1.PC + w2.PC) / 2, PQ: (w1.PQ + w2.PQ) / 2})
 
 		// chi: BLAST weighting without entropy.
-		res := metablocking.RunOnGraph(g, metablocking.Config{
+		res := metablocking.Run(blocks, metablocking.Config{
 			Scheme:  weights.Scheme{Kind: weights.ChiSquared},
 			Pruning: metablocking.BlastWNP, C: 2, D: 2,
 		})
@@ -94,7 +92,7 @@ func Figure8(cfg Config, names []string) ([]Figure8Row, error) {
 		// wsh: classic schemes scaled by entropy, BLAST pruning, averaged.
 		var pc, pq float64
 		for _, k := range weights.Classic() {
-			res := metablocking.RunOnGraph(g, metablocking.Config{
+			res := metablocking.Run(blocks, metablocking.Config{
 				Scheme:  weights.Scheme{Kind: k, Entropy: true},
 				Pruning: metablocking.BlastWNP, C: 2, D: 2,
 			})
@@ -106,7 +104,7 @@ func Figure8(cfg Config, names []string) ([]Figure8Row, error) {
 		out = append(out, Figure8Row{Dataset: name, Variant: "wsh", PC: pc / n, PQ: pq / n})
 
 		// bch: full BLAST.
-		res = metablocking.RunOnGraph(g, metablocking.Config{
+		res = metablocking.Run(blocks, metablocking.Config{
 			Scheme: weights.Blast(), Pruning: metablocking.BlastWNP, C: 2, D: 2,
 		})
 		q = metrics.EvaluatePairs(res.Pairs, ds.Truth)

@@ -66,8 +66,11 @@ func Prune(cfg Config, name string) ([]PruneRow, error) {
 		return nil, err
 	}
 	c := blocking.CleanWorkflow(blocking.TokenBlocking(ds), 0.5, 0.8)
-	csr := graph.BuildCSRParallel(c, 0)
-	weights.Blast().ApplyCSR(csr)
+	csr, err := graph.BuildCSR(context.Background(), c, nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	weights.Blast().ApplyCSR(csr, csr.Degrees(), csr.NumEdges(), 0)
 	csr.ReleaseStats()
 
 	ctx := context.Background()

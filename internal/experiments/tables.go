@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -141,10 +142,10 @@ func buildBlocks(ds *model.Dataset, variant string, lshCfg *attr.LSHConfig) (*bl
 // averageClassic runs a pruning over the five classic weighting schemes
 // and averages the quality metrics (the paper lists scheme-averaged rows
 // for wnp1/wnp2/cnp1/cnp2).
-func averageClassic(g *graph.Graph, pruning metablocking.Pruning, truth *model.GroundTruth) CompareRow {
+func averageClassic(blocks *blocking.Collection, pruning metablocking.Pruning, truth *model.GroundTruth) CompareRow {
 	var acc CompareRow
 	for _, k := range weights.Classic() {
-		res := metablocking.RunOnGraph(g, metablocking.Config{
+		res := metablocking.Run(blocks, metablocking.Config{
 			Scheme:  weights.Scheme{Kind: k},
 			Pruning: pruning,
 		})
@@ -192,18 +193,16 @@ func Table5(cfg Config) ([]CompareRow, error) {
 func compareAll(cfg Config, ds *model.Dataset, lshCfg *attr.LSHConfig) ([]CompareRow, error) {
 	tBlocks, tTime := buildBlocks(ds, "T", nil)
 	lBlocks, lTime := buildBlocks(ds, "L", nil)
-	tGraph := graph.Build(tBlocks)
-	lGraph := graph.Build(lBlocks)
 
 	var rows []CompareRow
-	addAvg := func(method string, g *graph.Graph, pruning metablocking.Pruning, base time.Duration) {
-		r := averageClassic(g, pruning, ds.Truth)
+	addAvg := func(method string, blocks *blocking.Collection, pruning metablocking.Pruning, base time.Duration) {
+		r := averageClassic(blocks, pruning, ds.Truth)
 		r.Method = method
 		r.Overhead += base
 		rows = append(rows, r)
 	}
-	addOne := func(method string, g *graph.Graph, mcfg metablocking.Config, base time.Duration) {
-		res := metablocking.RunOnGraph(g, mcfg)
+	addOne := func(method string, blocks *blocking.Collection, mcfg metablocking.Config, base time.Duration) {
+		res := metablocking.Run(blocks, mcfg)
 		q := metrics.EvaluatePairs(res.Pairs, ds.Truth)
 		rows = append(rows, CompareRow{
 			Method: method, PC: q.PC, PQ: q.PQ, F1: q.F1,
@@ -220,10 +219,10 @@ func compareAll(cfg Config, ds *model.Dataset, lshCfg *attr.LSHConfig) ([]Compar
 		{"cnp1", metablocking.CNP1},
 		{"cnp2", metablocking.CNP2},
 	} {
-		addAvg(p.name+" T", tGraph, p.pruning, tTime)
-		addAvg(p.name+" L", lGraph, p.pruning, lTime)
+		addAvg(p.name+" T", tBlocks, p.pruning, tTime)
+		addAvg(p.name+" L", lBlocks, p.pruning, lTime)
 		if p.pruning == metablocking.CNP1 || p.pruning == metablocking.CNP2 {
-			addOne(p.name+" Lchi2h", lGraph, metablocking.Config{
+			addOne(p.name+" Lchi2h", lBlocks, metablocking.Config{
 				Scheme: weights.Blast(), Pruning: p.pruning,
 			}, lTime)
 		}
@@ -231,6 +230,10 @@ func compareAll(cfg Config, ds *model.Dataset, lshCfg *attr.LSHConfig) ([]Compar
 
 	// Supervised meta-blocking (WEP-style SVM classification, T blocks).
 	supStart := time.Now()
+	tGraph, err := graph.BuildCSR(context.Background(), tBlocks, nil, 0)
+	if err != nil {
+		return nil, err
+	}
 	sup := supervised.Run(tGraph, ds.Truth, supervised.Config{
 		TrainFraction: 0.10, NegativeRatio: 1, Seed: cfg.Seed,
 	})
@@ -241,16 +244,15 @@ func compareAll(cfg Config, ds *model.Dataset, lshCfg *attr.LSHConfig) ([]Compar
 	})
 
 	// BLAST.
-	addOne("Blast", lGraph, metablocking.Config{
+	addOne("Blast", lBlocks, metablocking.Config{
 		Scheme: weights.Blast(), Pruning: metablocking.BlastWNP, C: 2, D: 2,
 	}, lTime)
 
 	if lshCfg != nil {
 		lsBlocks, lsTime := buildBlocks(ds, "L*", lshCfg)
-		lsGraph := graph.Build(lsBlocks)
-		addAvg("wnp1 L*", lsGraph, metablocking.WNP1, lsTime)
-		addAvg("cnp2 L*", lsGraph, metablocking.CNP2, lsTime)
-		addOne("Blast*", lsGraph, metablocking.Config{
+		addAvg("wnp1 L*", lsBlocks, metablocking.WNP1, lsTime)
+		addAvg("cnp2 L*", lsBlocks, metablocking.CNP2, lsTime)
+		addOne("Blast*", lsBlocks, metablocking.Config{
 			Scheme: weights.Blast(), Pruning: metablocking.BlastWNP, C: 2, D: 2,
 		}, lsTime)
 	}
@@ -266,11 +268,10 @@ func Table7(cfg Config, dataset string) ([]CompareRow, error) {
 		return nil, err
 	}
 	lBlocks, lTime := buildBlocks(ds, "L", nil)
-	lGraph := graph.Build(lBlocks)
 
 	var rows []CompareRow
 	addOne := func(method string, mcfg metablocking.Config) {
-		res := metablocking.RunOnGraph(lGraph, mcfg)
+		res := metablocking.Run(lBlocks, mcfg)
 		q := metrics.EvaluatePairs(res.Pairs, ds.Truth)
 		rows = append(rows, CompareRow{
 			Method: method, PC: q.PC, PQ: q.PQ, F1: q.F1,
@@ -278,16 +279,16 @@ func Table7(cfg Config, dataset string) ([]CompareRow, error) {
 		})
 	}
 	addOne("Blast", metablocking.Config{Scheme: weights.Blast(), Pruning: metablocking.BlastWNP, C: 2, D: 2})
-	r := averageClassic(lGraph, metablocking.WNP1, ds.Truth)
+	r := averageClassic(lBlocks, metablocking.WNP1, ds.Truth)
 	r.Method, r.Overhead = "wnp1", r.Overhead+lTime
 	rows = append(rows, r)
-	r = averageClassic(lGraph, metablocking.WNP2, ds.Truth)
+	r = averageClassic(lBlocks, metablocking.WNP2, ds.Truth)
 	r.Method, r.Overhead = "wnp2", r.Overhead+lTime
 	rows = append(rows, r)
-	r = averageClassic(lGraph, metablocking.CNP1, ds.Truth)
+	r = averageClassic(lBlocks, metablocking.CNP1, ds.Truth)
 	r.Method, r.Overhead = "cnp1", r.Overhead+lTime
 	rows = append(rows, r)
-	r = averageClassic(lGraph, metablocking.CNP2, ds.Truth)
+	r = averageClassic(lBlocks, metablocking.CNP2, ds.Truth)
 	r.Method, r.Overhead = "cnp2", r.Overhead+lTime
 	rows = append(rows, r)
 	return rows, nil

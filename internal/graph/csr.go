@@ -1,3 +1,10 @@
+// Package graph builds the blocking graph of graph-based meta-blocking
+// (Section 2.2 of the paper): nodes are entity profiles, and an edge
+// connects two profiles that co-occur in at least one block. Each edge
+// carries the co-occurrence statistics every weighting scheme needs —
+// |B_uv|, ARCS mass, and the entropy sum that BLAST's h(B_uv) term
+// averages — while per-node block counts |B_i| and the block-collection
+// totals live on the graph.
 package graph
 
 import (
@@ -17,14 +24,11 @@ import (
 // thresholds of Section 3.3.2, per-node top-k) never consult anything
 // beyond a node's own run.
 //
-// The representation exists for scale: Build/BuildParallel accumulate
-// every edge in a global map keyed by the pair, which dominates memory
-// and allocation churn once ||B|| reaches tens of millions. BuildCSR
-// instead builds each node's run independently from the block index with
-// an O(|profiles|) scratch accumulator, so peak allocation stays
+// BuildCSR builds each node's run independently from the block index
+// with an O(|profiles|) scratch accumulator, so peak allocation stays
 // proportional to the output adjacency rather than to a hash table over
-// it. The streaming pruning schemes (package prune) consume this form
-// directly and never materialize an edge list.
+// the edges. The streaming pruning schemes (package prune) consume this
+// form directly and never materialize an edge list.
 type CSR struct {
 	// NumProfiles is the number of nodes (profiles of the dataset,
 	// whether or not they have edges).
@@ -33,18 +37,20 @@ type CSR struct {
 	// positions [Offsets[i], Offsets[i+1]).
 	Offsets []int64
 	// Neighbors holds the neighbor profile id of every entry. Within a
-	// node's run entries are sorted by ascending neighbor id — the same
-	// order in which Graph.Adjacency lists a node's incident edges.
+	// node's run entries are sorted by ascending neighbor id.
 	Neighbors []int32
-	// Common, ARCS and EntropySum mirror the co-occurrence accumulators
-	// of Edge, per entry (both entries of an undirected edge carry
-	// identical values). They are only needed to compute Weights;
-	// ReleaseStats drops them once weighting is done.
+	// Common is |B_uv|, the number of blocks the entry's two profiles
+	// share; ARCS accumulates sum over shared blocks of 1/||b||; and
+	// EntropySum accumulates sum over shared blocks of h(b), the
+	// block's cluster aggregate entropy (h(B_uv) = EntropySum/Common).
+	// Both entries of an undirected edge carry identical values. They
+	// are only needed to compute Weights; ReleaseStats drops them once
+	// weighting is done.
 	Common     []int32
 	ARCS       []float64
 	EntropySum []float64
 	// Weights is filled in by a weighting scheme (weights.Scheme.ApplyCSR),
-	// one value per entry, mirrored across the two entries of an edge.
+	// one value per entry, identical across the two entries of an edge.
 	Weights []float64
 
 	// BlockCounts is |B_i| per profile in the underlying collection.
@@ -97,6 +103,34 @@ func (g *CSR) Run(u int) (nbr []int32, wts []float64) {
 	return nbr, wts
 }
 
+// Degrees returns |v_i| for every node, the degree vector the
+// weighting schemes consume (package weights).
+func (g *CSR) Degrees() []int32 {
+	d := make([]int32, g.NumProfiles)
+	for i := range d {
+		d[i] = int32(g.Degree(i))
+	}
+	return d
+}
+
+// ForRowRanges cuts the nodes into `workers` contiguous ranges of
+// roughly equal entry count (0 = GOMAXPROCS) and runs fn on each range
+// concurrently, returning after every range is done. Passes whose
+// per-row work is independent use it to parallelize without changing a
+// single written value.
+func (g *CSR) ForRowRanges(workers int, fn func(lo, hi int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if g.NumProfiles < 2*workers {
+		workers = 1
+	}
+	_ = forRanges(cutRanges(g.Offsets, workers), func(lo, hi int) error {
+		fn(lo, hi)
+		return nil
+	})
+}
+
 // ReleaseStats drops the co-occurrence accumulators, keeping only the
 // adjacency structure and Weights. Call after weighting when the graph
 // will only be pruned: it returns roughly half the per-entry memory to
@@ -126,8 +160,8 @@ func (g *CSR) ReleaseBlockCounts() { g.BlockCounts = nil }
 const csrCancelCheckEvery = 1024
 
 // Canonical invokes fn for every canonical (u < v) entry in ascending
-// (u, v) order — exactly the order of Graph.Edges — passing the entry's
-// position p into the entry arrays.
+// (u, v) order — each undirected edge exactly once — passing the
+// entry's position p into the entry arrays.
 func (g *CSR) Canonical(fn func(u, v int32, p int64)) {
 	_ = g.CanonicalCtx(context.Background(), fn)
 }
@@ -168,22 +202,18 @@ func (g *CSR) CanonicalCtx(ctx context.Context, fn func(u, v int32, p int64)) er
 	return nil
 }
 
-// CanonicalMirror is Canonical plus the position mp of each edge's
-// reverse entry (the one in v's run pointing back at u), located in O(1)
-// per edge: because the sub-v neighbors of any node v form the prefix of
-// v's run in ascending order — the same order in which their canonical
-// entries are visited — a per-node cursor into that prefix always lands
-// on the current edge's mirror. Every consumer that needs both entries
-// of an edge (weight mirroring, per-endpoint mark resolution) must go
-// through this iterator or MirrorEntry rather than re-derive the
-// invariant.
-func (g *CSR) CanonicalMirror(fn func(u, v int32, p, mp int64)) {
-	_ = g.CanonicalMirrorCtx(context.Background(), fn)
-}
-
+// CanonicalMirrorCtx is CanonicalCtx plus the position mp of each
+// edge's reverse entry (the one in v's run pointing back at u), located
+// in O(1) per edge: because the sub-v neighbors of any node v form the
+// prefix of v's run in ascending order — the same order in which their
+// canonical entries are visited — a per-node cursor into that prefix
+// always lands on the current edge's mirror. Every consumer that needs
+// both entries of an edge must go through this iterator or MirrorEntry
+// rather than re-derive the invariant. It has the same early-stop
+// contract as CanonicalCtx.
 // MirrorEntry locates the reverse entry of edge (u, v) — the position
 // of u in v's neighbor-sorted run — by binary search, O(log degree(v)).
-// It is the random-access counterpart of CanonicalMirror's cursor sweep
+// It is the random-access counterpart of CanonicalMirrorCtx's cursor sweep
 // (both resolve the same unique entry; the sorted-unique run layout is
 // owned here, next to the iterator): chunked parallel passes use it
 // because per-node cursors only work when one sweep visits every node
@@ -203,8 +233,6 @@ func (g *CSR) MirrorEntry(u, v int32) int64 {
 	return base + int64(lo)
 }
 
-// CanonicalMirrorCtx is CanonicalMirror with cooperative cancellation,
-// with the same early-stop contract as CanonicalCtx.
 func (g *CSR) CanonicalMirrorCtx(ctx context.Context, fn func(u, v int32, p, mp int64)) error {
 	cursors := make([]int64, g.NumProfiles)
 	budget := int64(csrCancelCheckEvery)
@@ -241,8 +269,8 @@ func (g *CSR) CanonicalMirrorCtx(ctx context.Context, fn func(u, v int32, p, mp 
 	return nil
 }
 
-// newCSRHeader fills in the collection-level statistics shared by the
-// serial and parallel builders.
+// newCSRHeader fills in the collection-level statistics shared by
+// BuildCSR and the spill builder.
 func newCSRHeader(c *blocking.Collection) *CSR {
 	return &CSR{
 		NumProfiles:      c.NumProfiles,
@@ -268,8 +296,8 @@ func blockInverses(c *blocking.Collection) []float64 {
 // blockIndex is the exact-sized flat inverted index profile -> block ids
 // (ascending): node i's blocks occupy blocks[offsets[i]:offsets[i+1]].
 // Equivalent to Collection.BlocksOfProfiles but allocation-exact — two
-// flat arrays instead of per-profile slices — because the node-centric
-// builder exists to keep peak allocation tight.
+// flat arrays instead of per-profile slices — because the builders
+// exist to keep peak allocation tight.
 type blockIndex struct {
 	offsets []int64
 	blocks  []int32
@@ -300,10 +328,43 @@ func buildBlockIndex(c *blocking.Collection, counts []int32) blockIndex {
 	return blockIndex{offsets: offsets, blocks: blocks}
 }
 
+// forEachNeighbor enumerates node's co-occurrences: every (neighbor,
+// 1/||b||, h(b)) of every comparison-entailing block the node belongs
+// to, visiting the node's blocks in ascending block order so per-edge
+// floating-point sums are reproducible. A neighbor shared through k
+// blocks is visited k times. It is the single enumeration every builder
+// pass goes through — the count pass and the fill pass of BuildCSR and
+// the spill builder's loop — so they cannot disagree on a run.
+func forEachNeighbor(c *blocking.Collection, inv []float64, ix *blockIndex, node int32, fn func(j int32, inv, entropy float64)) {
+	for _, bi := range ix.of(node) {
+		w := inv[bi]
+		if w == 0 {
+			continue
+		}
+		b := &c.Blocks[bi]
+		if b.P2 != nil {
+			// Clean-clean: only cross-source comparisons are valid.
+			others := b.P2
+			if int(node) >= c.Split {
+				others = b.P1
+			}
+			for _, j := range others {
+				fn(j, w, b.Entropy)
+			}
+			continue
+		}
+		for _, j := range b.P1 {
+			if j != node {
+				fn(j, w, b.Entropy)
+			}
+		}
+	}
+}
+
 // nodeAcc is the reusable sparse accumulator of one node's adjacency:
 // dense arrays indexed by neighbor id plus the list of touched ids. The
-// arrays are O(NumProfiles) but are allocated once per builder (per
-// worker for the parallel builder) and reset in O(degree) per node.
+// arrays are O(NumProfiles) but are allocated once per builder worker
+// and reset in O(degree) per node.
 type nodeAcc struct {
 	common  []int32
 	arcs    []float64
@@ -328,34 +389,12 @@ func (a *nodeAcc) add(j int32, inv, entropy float64) {
 	a.entropy[j] += entropy
 }
 
-// accumulate fills the accumulator with node's co-occurrence statistics,
-// visiting the node's blocks in ascending block order so that per-edge
-// floating-point sums are bit-identical to the edge-list builders (which
-// also accumulate in block order). Touched neighbor ids end up sorted.
+// accumulate fills the accumulator with node's co-occurrence
+// statistics. Both entries of an edge see the same shared blocks in the
+// same ascending order, so their sums are bit-identical. Touched
+// neighbor ids end up sorted.
 func (a *nodeAcc) accumulate(c *blocking.Collection, inv []float64, ix *blockIndex, node int32) {
-	for _, bi := range ix.of(node) {
-		w := inv[bi]
-		if w == 0 {
-			continue
-		}
-		b := &c.Blocks[bi]
-		if b.P2 != nil {
-			// Clean-clean: only cross-source comparisons are valid.
-			others := b.P2
-			if int(node) >= c.Split {
-				others = b.P1
-			}
-			for _, j := range others {
-				a.add(j, w, b.Entropy)
-			}
-			continue
-		}
-		for _, j := range b.P1 {
-			if j != node {
-				a.add(j, w, b.Entropy)
-			}
-		}
-	}
+	forEachNeighbor(c, inv, ix, node, a.add)
 	slices.Sort(a.touched)
 }
 
@@ -367,165 +406,128 @@ func (a *nodeAcc) reset() {
 	a.touched = a.touched[:0]
 }
 
-// entryStore accumulates adjacency entries with doubling growth. Plain
-// append grows large slices by ~1.25x, which allocates roughly 5x the
-// final size over a build; doubling caps total churn at ~2x. These
-// arrays dominate the engine's footprint, so the growth policy is the
-// difference between beating the edge-list builder on allocation and
-// merely matching it.
-type entryStore struct {
-	neighbors  []int32
-	common     []int32
-	arcs       []float64
-	entropySum []float64
-}
-
-func growTo[T any](s []T, newCap int) []T {
-	ns := make([]T, len(s), newCap)
-	copy(ns, s)
-	return ns
-}
-
-// appendNode flushes the accumulator's touched entries into the store.
-func (st *entryStore) appendNode(acc *nodeAcc) {
-	if need := len(st.neighbors) + len(acc.touched); need > cap(st.neighbors) {
-		newCap := 2 * cap(st.neighbors)
-		if newCap < need {
-			newCap = need
-		}
-		if newCap < 1024 {
-			newCap = 1024
-		}
-		st.neighbors = growTo(st.neighbors, newCap)
-		st.common = growTo(st.common, newCap)
-		st.arcs = growTo(st.arcs, newCap)
-		st.entropySum = growTo(st.entropySum, newCap)
-	}
-	for _, j := range acc.touched {
-		st.neighbors = append(st.neighbors, j)
-		st.common = append(st.common, acc.common[j])
-		st.arcs = append(st.arcs, acc.arcs[j])
-		st.entropySum = append(st.entropySum, acc.entropy[j])
-	}
-}
-
 // BuildCSR constructs the node-centric blocking graph of a block
-// collection. It visits each block once per member profile, so the cost
-// is proportional to 2*||B|| — the same asymptotics as Build — but no
-// global edge map is ever allocated: memory is the output adjacency plus
-// an O(NumProfiles) scratch accumulator. The resulting graph carries
-// exactly the statistics of Build (per-edge values are bit-identical).
-func BuildCSR(c *blocking.Collection) *CSR {
-	g, _ := BuildCSRCtx(context.Background(), c)
-	return g
-}
-
-// BuildCSRCtx is BuildCSR with cooperative cancellation: the per-node
-// accumulation loop checks ctx every few thousand nodes and returns
-// ctx.Err() as soon as cancellation is observed, discarding the partial
-// adjacency.
-func BuildCSRCtx(ctx context.Context, c *blocking.Collection) (*CSR, error) {
-	g := newCSRHeader(c)
-	ix := buildBlockIndex(c, g.BlockCounts)
-	inv := blockInverses(c)
-	acc := newNodeAcc(c.NumProfiles)
-	var st entryStore
-	for n := 0; n < c.NumProfiles; n++ {
-		if n%csrCancelCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		acc.accumulate(c, inv, &ix, int32(n))
-		st.appendNode(acc)
-		g.Offsets[n+1] = int64(len(st.neighbors))
-		acc.reset()
-	}
-	g.Neighbors, g.Common, g.ARCS, g.EntropySum =
-		st.neighbors, st.common, st.arcs, st.entropySum
-	g.Weights = make([]float64, len(g.Neighbors))
-	return g, nil
-}
-
-// BuildCSRParallel constructs the same graph as BuildCSR using workers
-// goroutines (0 = GOMAXPROCS). Nodes are cut into contiguous ranges of
-// roughly equal block-membership mass; each worker builds its range's
-// adjacency independently (per-node computation touches only that
-// worker's scratch), and the per-range chunks are concatenated in node
-// order, so the result is byte-identical to the serial build.
-func BuildCSRParallel(c *blocking.Collection, workers int) *CSR {
-	g, _ := BuildCSRParallelCtx(context.Background(), c, workers)
-	return g
-}
-
-// BuildCSRParallelCtx is BuildCSRParallel with cooperative cancellation:
-// every worker polls ctx at node-chunk granularity and abandons its
-// range, and the build returns ctx.Err() after the join, discarding the
-// partial chunks.
-func BuildCSRParallelCtx(ctx context.Context, c *blocking.Collection, workers int) (*CSR, error) {
+// collection on workers goroutines (0 = GOMAXPROCS). It visits each
+// block once per member profile, so the cost is proportional to
+// 2*||B||, and no global edge map is ever allocated.
+//
+// owns selects the rows whose adjacency runs are materialized; nil
+// selects every row. Offsets always spans every profile — unselected
+// rows are empty runs — which is the build primitive of partitioned
+// sharding: each shard materializes its owned rows from the shared
+// block collection, and their per-entry statistics are bit-identical to
+// the same rows of a full build, because per-node accumulation never
+// consults anything beyond the collection and the node's own block
+// list. The header statistics (BlockCounts, TotalBlocks,
+// TotalComparisons) are global either way; NumEdges() of an owned-rows
+// graph counts owned entries over two, NOT the global edge count.
+//
+// The build runs in two passes over contiguous node ranges of equal
+// block-membership mass: the first counts each row's distinct
+// neighbors into Offsets, the prefix sum sizes the entry arrays exactly
+// once, and the second fills every run in place. Each run's content is
+// a pure function of its node, so the result is byte-identical at every
+// worker count. Cancellation is polled every few thousand nodes per
+// worker; a cancelled build returns ctx.Err() and no graph.
+func BuildCSR(ctx context.Context, c *blocking.Collection, owns func(int32) bool, workers int) (*CSR, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 || c.NumProfiles < 2*workers {
-		return BuildCSRCtx(ctx, c)
+	if c.NumProfiles < 2*workers {
+		workers = 1
 	}
 	g := newCSRHeader(c)
 	ix := buildBlockIndex(c, g.BlockCounts)
 	inv := blockInverses(c)
 	bounds := cutRanges(ix.offsets, workers)
+	rows := func(lo, hi int, fn func(n int32)) error {
+		for n := lo; n < hi; n++ {
+			if (n-lo)%csrCancelCheckEvery == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			if owns == nil || owns(int32(n)) {
+				fn(int32(n))
+			}
+		}
+		return nil
+	}
 
-	chunks := make([]entryStore, workers)
+	// Pass 1: run lengths. seen[j] == n+1 marks j as already counted
+	// for node n, so no per-node reset is needed.
+	err := forRanges(bounds, func(lo, hi int) error {
+		seen := make([]int32, c.NumProfiles)
+		return rows(lo, hi, func(n int32) {
+			deg := int64(0)
+			forEachNeighbor(c, inv, &ix, n, func(j int32, _, _ float64) {
+				if seen[j] != n+1 {
+					seen[j] = n + 1
+					deg++
+				}
+			})
+			g.Offsets[n+1] = deg
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	for n := 0; n < c.NumProfiles; n++ {
+		g.Offsets[n+1] += g.Offsets[n]
+	}
+	total := g.Offsets[c.NumProfiles]
+	g.Neighbors = make([]int32, total)
+	g.Common = make([]int32, total)
+	g.ARCS = make([]float64, total)
+	g.EntropySum = make([]float64, total)
+	g.Weights = make([]float64, total)
+
+	// Pass 2: fill each run in place; ranges are disjoint, so workers
+	// never write the same entry.
+	err = forRanges(bounds, func(lo, hi int) error {
+		acc := newNodeAcc(c.NumProfiles)
+		return rows(lo, hi, func(n int32) {
+			acc.accumulate(c, inv, &ix, n)
+			p := g.Offsets[n]
+			for i, j := range acc.touched {
+				g.Neighbors[p+int64(i)] = j
+				g.Common[p+int64(i)] = acc.common[j]
+				g.ARCS[p+int64(i)] = acc.arcs[j]
+				g.EntropySum[p+int64(i)] = acc.entropy[j]
+			}
+			acc.reset()
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// forRanges runs fn on every [bounds[w], bounds[w+1]) range, one
+// goroutine per range (inline when there is only one), and returns the
+// first error by range order.
+func forRanges(bounds []int, fn func(lo, hi int) error) error {
+	n := len(bounds) - 1
+	if n == 1 {
+		return fn(bounds[0], bounds[1])
+	}
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < n; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			acc := newNodeAcc(c.NumProfiles)
-			ch := &chunks[w]
-			for n := bounds[w]; n < bounds[w+1]; n++ {
-				if (n-bounds[w])%csrCancelCheckEvery == 0 && ctx.Err() != nil {
-					return
-				}
-				acc.accumulate(c, inv, &ix, int32(n))
-				ch.appendNode(acc)
-				// Chunk-local offset; rebased after the join. Ranges are
-				// disjoint, so these writes do not race.
-				g.Offsets[n+1] = int64(len(ch.neighbors))
-				acc.reset()
-			}
+			errs[w] = fn(bounds[w], bounds[w+1])
 		}(w)
 	}
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	total := 0
-	for w := range chunks {
-		total += len(chunks[w].neighbors)
-	}
-	g.Neighbors = make([]int32, 0, total)
-	g.Common = make([]int32, 0, total)
-	g.ARCS = make([]float64, 0, total)
-	g.EntropySum = make([]float64, 0, total)
-	base := int64(0)
-	for w := range chunks {
-		for n := bounds[w]; n < bounds[w+1]; n++ {
-			g.Offsets[n+1] += base
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
-		g.Neighbors = append(g.Neighbors, chunks[w].neighbors...)
-		g.Common = append(g.Common, chunks[w].common...)
-		g.ARCS = append(g.ARCS, chunks[w].arcs...)
-		g.EntropySum = append(g.EntropySum, chunks[w].entropySum...)
-		base += int64(len(chunks[w].neighbors))
-		// Release each chunk as soon as it is stitched. The peak — final
-		// arrays plus all chunks, ~2x the adjacency — is unavoidable at
-		// the start of the merge, but this makes memory fall back toward
-		// 1x as the merge proceeds instead of holding 2x throughout.
-		chunks[w] = entryStore{}
 	}
-	g.Weights = make([]float64, len(g.Neighbors))
-	return g, nil
+	return nil
 }
 
 // cutRanges splits the node space into `workers` contiguous ranges of

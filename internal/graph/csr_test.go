@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"context"
+	"fmt"
+	"slices"
 	"testing"
 
 	"blast/internal/blocking"
@@ -9,32 +12,61 @@ import (
 	"blast/internal/stats"
 )
 
-// checkCSRMatchesGraph asserts that the CSR carries exactly the edges
-// and (bit-identical) accumulators of the edge-list graph.
-func checkCSRMatchesGraph(t *testing.T, g *Graph, csr *CSR) {
+// refEdge is one edge of the naive reference build.
+type refEdge struct {
+	common        int32
+	arcs, entropy float64
+}
+
+// referenceEdges is the deliberately naive blocking graph: every pair of
+// every block, in block order, accumulated into a map keyed by the
+// canonical pair. Visiting blocks in ascending order is the only
+// ordering the float sums depend on, so the CSR's per-entry statistics
+// must equal these bit for bit.
+func referenceEdges(c *blocking.Collection) map[model.IDPair]*refEdge {
+	edges := make(map[model.IDPair]*refEdge)
+	for i := range c.Blocks {
+		b := &c.Blocks[i]
+		cmp := b.Comparisons()
+		if cmp == 0 {
+			continue
+		}
+		b.ForEachPair(func(u, v int32) {
+			pair := model.MakePair(int(u), int(v))
+			e := edges[pair]
+			if e == nil {
+				e = &refEdge{}
+				edges[pair] = e
+			}
+			e.common++
+			e.arcs += 1 / float64(cmp)
+			e.entropy += b.Entropy
+		})
+	}
+	return edges
+}
+
+// checkCSRMatchesReference asserts that the CSR carries exactly the
+// edges and (bit-identical) accumulators of the naive reference build,
+// from both endpoints, with runs sorted by ascending neighbor.
+func checkCSRMatchesReference(t *testing.T, c *blocking.Collection, csr *CSR) {
 	t.Helper()
-	if csr.NumProfiles != g.NumProfiles {
-		t.Fatalf("NumProfiles = %d, want %d", csr.NumProfiles, g.NumProfiles)
+	ref := referenceEdges(c)
+	if csr.NumProfiles != c.NumProfiles {
+		t.Fatalf("NumProfiles = %d, want %d", csr.NumProfiles, c.NumProfiles)
 	}
-	if csr.NumEdges() != g.NumEdges() {
-		t.Fatalf("NumEdges = %d, want %d", csr.NumEdges(), g.NumEdges())
+	if csr.NumEdges() != len(ref) {
+		t.Fatalf("NumEdges = %d, want %d", csr.NumEdges(), len(ref))
 	}
-	if csr.TotalBlocks != g.TotalBlocks || csr.TotalComparisons != g.TotalComparisons {
+	if csr.TotalBlocks != c.Len() || csr.TotalComparisons != c.AggregateCardinality() {
 		t.Fatalf("totals = (%d, %d), want (%d, %d)",
-			csr.TotalBlocks, csr.TotalComparisons, g.TotalBlocks, g.TotalComparisons)
+			csr.TotalBlocks, csr.TotalComparisons, c.Len(), c.AggregateCardinality())
 	}
-	for i := range g.BlockCounts {
-		if csr.BlockCounts[i] != g.BlockCounts[i] {
-			t.Fatalf("BlockCounts[%d] = %d, want %d", i, csr.BlockCounts[i], g.BlockCounts[i])
+	for i, want := range c.ProfileBlockCounts() {
+		if csr.BlockCounts[i] != want {
+			t.Fatalf("BlockCounts[%d] = %d, want %d", i, csr.BlockCounts[i], want)
 		}
 	}
-	for n := 0; n < g.NumProfiles; n++ {
-		if csr.Degree(n) != int(g.Degrees[n]) {
-			t.Fatalf("Degree(%d) = %d, want %d", n, csr.Degree(n), g.Degrees[n])
-		}
-	}
-	// Every entry must mirror the corresponding edge's accumulators,
-	// with runs sorted by ascending neighbor.
 	for n := 0; n < csr.NumProfiles; n++ {
 		prev := int32(-1)
 		for p := csr.Offsets[n]; p < csr.Offsets[n+1]; p++ {
@@ -43,36 +75,47 @@ func checkCSRMatchesGraph(t *testing.T, g *Graph, csr *CSR) {
 				t.Fatalf("node %d: neighbors not strictly ascending (%d after %d)", n, v, prev)
 			}
 			prev = v
-			e := g.EdgeBetween(n, int(v))
+			e := ref[model.MakePair(n, int(v))]
 			if e == nil {
-				t.Fatalf("CSR edge (%d,%d) missing from Graph", n, v)
+				t.Fatalf("CSR edge (%d,%d) missing from the reference", n, v)
 			}
-			if csr.Common[p] != e.Common || csr.ARCS[p] != e.ARCS || csr.EntropySum[p] != e.EntropySum {
-				t.Fatalf("edge (%d,%d): CSR stats (%d, %v, %v) != Graph (%d, %v, %v)",
+			if csr.Common[p] != e.common || csr.ARCS[p] != e.arcs || csr.EntropySum[p] != e.entropy {
+				t.Fatalf("edge (%d,%d): CSR stats (%d, %v, %v) != reference (%d, %v, %v)",
 					n, v, csr.Common[p], csr.ARCS[p], csr.EntropySum[p],
-					e.Common, e.ARCS, e.EntropySum)
+					e.common, e.arcs, e.entropy)
 			}
 		}
 	}
-	// Canonical iteration must enumerate exactly Edges, in order.
-	i := 0
-	csr.Canonical(func(u, v int32, p int64) {
-		if i >= len(g.Edges) {
-			t.Fatalf("Canonical enumerated more than %d edges", len(g.Edges))
+}
+
+// sameCSR asserts that two builds are byte-identical entry for entry.
+func sameCSR(t *testing.T, label string, want, got *CSR) {
+	t.Helper()
+	if len(got.Offsets) != len(want.Offsets) || len(got.Neighbors) != len(want.Neighbors) {
+		t.Fatalf("%s: shape (%d offsets, %d entries), want (%d, %d)", label,
+			len(got.Offsets), len(got.Neighbors), len(want.Offsets), len(want.Neighbors))
+	}
+	for i := range want.Offsets {
+		if got.Offsets[i] != want.Offsets[i] {
+			t.Fatalf("%s: Offsets[%d] = %d, want %d", label, i, got.Offsets[i], want.Offsets[i])
 		}
-		if e := &g.Edges[i]; e.U != u || e.V != v {
-			t.Fatalf("canonical edge %d = (%d,%d), want (%d,%d)", i, u, v, e.U, e.V)
+	}
+	for i := range want.Neighbors {
+		if got.Neighbors[i] != want.Neighbors[i] ||
+			got.Common[i] != want.Common[i] ||
+			got.ARCS[i] != want.ARCS[i] ||
+			got.EntropySum[i] != want.EntropySum[i] {
+			t.Fatalf("%s: entry %d differs", label, i)
 		}
-		i++
-	})
-	if i != len(g.Edges) {
-		t.Fatalf("Canonical enumerated %d edges, want %d", i, len(g.Edges))
+	}
+	if len(got.Weights) != len(got.Neighbors) {
+		t.Fatalf("%s: %d weights for %d entries", label, len(got.Weights), len(got.Neighbors))
 	}
 }
 
 func TestBuildCSRMatchesBuildOnPaperExample(t *testing.T) {
 	c := blocking.TokenBlocking(datasets.PaperExample())
-	checkCSRMatchesGraph(t, Build(c), BuildCSR(c))
+	checkCSRMatchesReference(t, c, buildCSR(c))
 }
 
 func TestBuildCSRMatchesBuildOnRandomCollections(t *testing.T) {
@@ -83,34 +126,75 @@ func TestBuildCSRMatchesBuildOnRandomCollections(t *testing.T) {
 			if err := c.Validate(); err != nil {
 				t.Fatalf("seed %d: invalid random collection: %v", seed, err)
 			}
-			checkCSRMatchesGraph(t, Build(c), BuildCSR(c))
+			checkCSRMatchesReference(t, c, buildCSR(c))
 		}
 	}
 }
 
+// TestBuildCSRParallelMatchesSerial: the build is byte-identical at
+// every worker count — including the GOMAXPROCS default and counts
+// above what a tiny input can shard, which fall back to one range — and
+// an owned-rows build materializes exactly the selected rows of the
+// full build, with every other run empty.
 func TestBuildCSRParallelMatchesSerial(t *testing.T) {
 	rng := stats.NewRNG(7)
-	for _, kind := range []model.Kind{model.Dirty, model.CleanClean} {
-		c := blocking.RandomCollection(rng, kind, 200, 150)
-		serial := BuildCSR(c)
-		for _, workers := range []int{0, 2, 3, 8} {
-			par := BuildCSRParallel(c, workers)
-			if len(par.Neighbors) != len(serial.Neighbors) {
-				t.Fatalf("workers=%d: %d entries, want %d", workers, len(par.Neighbors), len(serial.Neighbors))
+	collections := map[string]*blocking.Collection{
+		"random dirty": blocking.RandomCollection(rng, model.Dirty, 200, 150),
+		"random clean": blocking.RandomCollection(rng, model.CleanClean, 200, 150),
+		"ar1":          blocking.CleanWorkflow(blocking.TokenBlocking(datasets.AR1(0.1, 5)), 0.5, 0.8),
+		"census":       blocking.CleanWorkflow(blocking.TokenBlocking(datasets.Census(0.3, 5)), 0.5, 0.8),
+		"prd":          blocking.CleanWorkflow(blocking.TokenBlocking(datasets.PRD(0.2, 9)), 0.5, 0.8),
+		"paper":        blocking.TokenBlocking(datasets.PaperExample()),
+	}
+	ctx := context.Background()
+	for name, c := range collections {
+		serial := buildCSR(c)
+		for _, workers := range []int{0, 2, 3, 4, 8} {
+			par, err := BuildCSR(ctx, c, nil, workers)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range serial.Offsets {
-				if par.Offsets[i] != serial.Offsets[i] {
-					t.Fatalf("workers=%d: Offsets[%d] = %d, want %d", workers, i, par.Offsets[i], serial.Offsets[i])
+			sameCSR(t, fmt.Sprintf("%s workers=%d", name, workers), serial, par)
+		}
+		for _, workers := range []int{1, 3} {
+			odd := func(n int32) bool { return n%2 == 1 }
+			owned, err := BuildCSR(ctx, c, odd, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if owned.TotalBlocks != serial.TotalBlocks || owned.TotalComparisons != serial.TotalComparisons {
+				t.Fatalf("%s owned: header totals differ from the full build", name)
+			}
+			for n := 0; n < c.NumProfiles; n++ {
+				nbr, _ := owned.Run(n)
+				want, _ := serial.Run(n)
+				if !odd(int32(n)) {
+					want = nil
+				}
+				if !slices.Equal(nbr, want) {
+					t.Fatalf("%s owned workers=%d: row %d = %v, want %v", name, workers, n, nbr, want)
+				}
+				for i := range nbr {
+					p, sp := owned.Offsets[n]+int64(i), serial.Offsets[n]+int64(i)
+					if owned.Common[p] != serial.Common[sp] || owned.ARCS[p] != serial.ARCS[sp] ||
+						owned.EntropySum[p] != serial.EntropySum[sp] {
+						t.Fatalf("%s owned: row %d entry %d stats differ", name, n, i)
+					}
 				}
 			}
-			for i := range serial.Neighbors {
-				if par.Neighbors[i] != serial.Neighbors[i] ||
-					par.Common[i] != serial.Common[i] ||
-					par.ARCS[i] != serial.ARCS[i] ||
-					par.EntropySum[i] != serial.EntropySum[i] {
-					t.Fatalf("workers=%d: entry %d differs", workers, i)
-				}
-			}
+		}
+	}
+}
+
+// TestBuildCSRCancellation: a cancelled build returns ctx.Err() and no
+// graph, at every worker count.
+func TestBuildCSRCancellation(t *testing.T) {
+	c := blocking.RandomCollection(stats.NewRNG(5), model.Dirty, 300, 200)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		if g, err := BuildCSR(ctx, c, nil, workers); err != context.Canceled || g != nil {
+			t.Errorf("workers=%d: got (%v, %v), want (nil, context.Canceled)", workers, g, err)
 		}
 	}
 }
@@ -122,7 +206,7 @@ func TestBuildCSRSkipsComparisonFreeBlocks(t *testing.T) {
 		{Key: "pair", P1: []int32{0, 1}, Entropy: 1},  // one comparison
 		{Key: "lonely", P1: []int32{3}, Entropy: 0.5}, // no comparisons
 	}
-	g := BuildCSR(c)
+	g := buildCSR(c)
 	if g.NumEdges() != 1 {
 		t.Fatalf("edges = %d, want 1", g.NumEdges())
 	}
@@ -133,20 +217,20 @@ func TestBuildCSRSkipsComparisonFreeBlocks(t *testing.T) {
 
 func TestBuildCSRRegistryDatasets(t *testing.T) {
 	// Paper-shaped data at tiny scale: the CSR must agree with the
-	// edge-list graph on a real token-blocked workload of each kind.
+	// naive reference on a real token-blocked workload of each kind.
 	for _, name := range []string{"ar1", "census"} {
 		gen, err := datasets.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c := blocking.CleanWorkflow(blocking.TokenBlocking(gen(0.05, 42)), 0.5, 0.8)
-		checkCSRMatchesGraph(t, Build(c), BuildCSR(c))
+		checkCSRMatchesReference(t, c, buildCSR(c))
 	}
 }
 
 func TestReleaseStats(t *testing.T) {
 	c := blocking.TokenBlocking(datasets.PaperExample())
-	g := BuildCSR(c)
+	g := buildCSR(c)
 	g.ReleaseStats()
 	if g.Common != nil || g.ARCS != nil || g.EntropySum != nil {
 		t.Error("ReleaseStats should drop the accumulator arrays")
@@ -178,15 +262,15 @@ func TestCutRangesCoverAndBalance(t *testing.T) {
 
 // TestMirrorEntryMatchesCursor pins the two sanctioned mirror
 // accessors to each other: the binary-search MirrorEntry must locate
-// exactly the entry the CanonicalMirror cursor sweep yields, for every
+// exactly the entry the CanonicalMirrorCtx cursor sweep yields, for every
 // edge, in both directions.
 func TestMirrorEntryMatchesCursor(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		rng := stats.NewRNG(seed * 31337)
 		for _, kind := range []model.Kind{model.Dirty, model.CleanClean} {
 			c := blocking.RandomCollection(rng, kind, 30+rng.Intn(50), 25+rng.Intn(25))
-			g := BuildCSR(c)
-			g.CanonicalMirror(func(u, v int32, p, mp int64) {
+			g := buildCSR(c)
+			_ = g.CanonicalMirrorCtx(context.Background(), func(u, v int32, p, mp int64) {
 				if got := g.MirrorEntry(u, v); got != mp {
 					t.Fatalf("MirrorEntry(%d,%d) = %d, cursor says %d", u, v, got, mp)
 				}

@@ -124,7 +124,7 @@ func checkCompacted(t *testing.T, o *Overlay, m modelGraph) (*Overlay, *CSR) {
 func fuzzBase(seed uint64, profiles, blocks int) (*CSR, []bool) {
 	rng := stats.NewRNG(seed)
 	c := blocking.RandomCollection(rng, model.Dirty, profiles, blocks)
-	g := BuildCSR(c)
+	g := buildCSR(c)
 	retained := make([]bool, len(g.Neighbors))
 	for i := range g.Weights {
 		g.Weights[i] = rng.Float64() * 10

@@ -376,11 +376,10 @@ func (g *CSR) MaterializeWeights() ([]float64, error) {
 // WeighSpilled streams every adjacency entry of a spilled graph through
 // fn — in storage order, with the entry's co-occurrence statistics —
 // and persists the returned weights page by page. It is the spilled
-// counterpart of a weighting scheme's in-place resident pass
+// driver of a weighting scheme's per-entry pass
 // (weights.Scheme.ApplyCSR): fn must compute the weight with its
 // arguments in canonical (u < v) orientation so both entries of an edge
-// carry bit-identical values, exactly as ApplyOwnedCSR already does for
-// owned-rows graphs.
+// carry bit-identical values.
 func (g *CSR) WeighSpilled(fn func(u, v int32, common int32, arcs, entropySum float64) float64) error {
 	pg := g.pages
 	if pg == nil {

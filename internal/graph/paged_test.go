@@ -26,7 +26,7 @@ func testWeigh(common int32, arcs, ent float64) float64 {
 
 func buildSpilledPair(t *testing.T, c *blocking.Collection) (resident, spilled *CSR) {
 	t.Helper()
-	resident = BuildCSR(c)
+	resident = buildCSR(c)
 	opt := tinySpill
 	opt.Dir = t.TempDir()
 	spilled, err := BuildCSRSpillCtx(context.Background(), c, opt)
@@ -110,15 +110,15 @@ func TestBuildCSRSpillMatchesResident(t *testing.T) {
 			}
 		})
 
-		// CanonicalMirror sweeps visit identical (u, v, p, mp) tuples.
+		// CanonicalMirrorCtx sweeps visit identical (u, v, p, mp) tuples.
 		type quad struct {
 			u, v  int32
 			p, mp int64
 		}
 		var want []quad
-		resident.CanonicalMirror(func(u, v int32, p, mp int64) { want = append(want, quad{u, v, p, mp}) })
+		_ = resident.CanonicalMirrorCtx(context.Background(), func(u, v int32, p, mp int64) { want = append(want, quad{u, v, p, mp}) })
 		i := 0
-		spilled.CanonicalMirror(func(u, v int32, p, mp int64) {
+		_ = spilled.CanonicalMirrorCtx(context.Background(), func(u, v int32, p, mp int64) {
 			if i >= len(want) || want[i] != (quad{u, v, p, mp}) {
 				t.Fatalf("mirror sweep diverged at %d", i)
 			}
@@ -157,7 +157,7 @@ func TestBuildCSRSpillMatchesResident(t *testing.T) {
 func TestBuildCSRSpillUnderBudgetStaysResident(t *testing.T) {
 	rng := stats.NewRNG(5)
 	c := blocking.RandomCollection(rng, model.Dirty, 120, 80)
-	want := BuildCSR(c)
+	want := buildCSR(c)
 	got, err := BuildCSRSpillCtx(context.Background(), c, SpillOptions{MemoryBudget: 1 << 30, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)

@@ -90,8 +90,9 @@ func byName(analyzers []*Analyzer) map[string]bool {
 }
 
 // deterministicPkgs are the packages whose outputs are pinned
-// byte-identical across runs, worker counts and engines. Nondeterminism
-// inside them is a correctness bug class, not a style issue.
+// byte-identical across runs, worker counts and storage modes.
+// Nondeterminism inside them is a correctness bug class, not a style
+// issue.
 var deterministicPkgs = map[string]bool{
 	"blast/internal/attr":         true,
 	"blast/internal/stats":        true,

@@ -1,20 +1,22 @@
 package metablocking
 
-// The engine-equivalence harness: the edge-list engine (serial and
-// parallel graph build) and the node-centric streaming engine must
-// produce byte-identical retained pair lists for every Pruning x Scheme
-// combination, on randomized block collections of both kinds and on the
-// registry benchmarks. This is the contract that lets callers switch
-// engines purely on resource considerations.
+// The reference harness: Run must produce byte-identical retained pair
+// lists to a deliberately naive oracle — pairs enumerated into a map,
+// weighed with weights.Weigher, and pruned by each scheme's textbook
+// definition — for every Pruning x Scheme x Workers combination, on
+// randomized block collections of both kinds and on the registry
+// benchmarks.
 
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"testing"
 
 	"blast/internal/blocking"
 	"blast/internal/datasets"
 	"blast/internal/model"
+	"blast/internal/prune"
 	"blast/internal/stats"
 	"blast/internal/weights"
 )
@@ -33,6 +35,192 @@ func allSchemes() []weights.Scheme {
 	return out
 }
 
+// refEdge is one edge of the reference blocking graph.
+type refEdge struct {
+	u, v          int32
+	common        int32
+	arcs, entropy float64
+	w             float64
+}
+
+// reference is the naive meta-blocking oracle. It shares nothing with
+// the engine but the Weigher and one fold: the WEP mean's numerator is
+// summed per smaller-endpoint row and the row sums folded by
+// prune.FoldRowSums, the association the engine fixes for its mean so
+// that it is reproducible bit for bit.
+type reference struct {
+	c      *blocking.Collection
+	edges  []refEdge
+	adj    [][]int // per node, incident edge indexes by ascending neighbor
+	counts []int32
+}
+
+// newReference builds the blocking graph: every pair of every block,
+// accumulated in block order.
+func newReference(c *blocking.Collection) *reference {
+	index := make(map[model.IDPair]int)
+	var edges []refEdge
+	for i := range c.Blocks {
+		b := &c.Blocks[i]
+		cmp := b.Comparisons()
+		if cmp == 0 {
+			continue
+		}
+		b.ForEachPair(func(u, v int32) {
+			pair := model.MakePair(int(u), int(v))
+			at, ok := index[pair]
+			if !ok {
+				at = len(edges)
+				index[pair] = at
+				edges = append(edges, refEdge{u: pair.U, v: pair.V})
+			}
+			e := &edges[at]
+			e.common++
+			e.arcs += 1 / float64(cmp)
+			e.entropy += b.Entropy
+		})
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		return edges[i].u < edges[j].u || (edges[i].u == edges[j].u && edges[i].v < edges[j].v)
+	})
+
+	// In canonical order, each node's incident edges are listed by
+	// ascending neighbor id.
+	adj := make([][]int, c.NumProfiles)
+	for i, e := range edges {
+		adj[e.u] = append(adj[e.u], i)
+		adj[e.v] = append(adj[e.v], i)
+	}
+	return &reference{c: c, edges: edges, adj: adj, counts: c.ProfileBlockCounts()}
+}
+
+// referencePairs runs the reference over c once.
+func referencePairs(c *blocking.Collection, cfg Config) []model.IDPair {
+	return newReference(c).pairs(cfg)
+}
+
+// pairs weighs and prunes the reference graph under cfg.
+func (r *reference) pairs(cfg Config) []model.IDPair {
+	c, adj, counts := r.c, r.adj, r.counts
+	edges := append([]refEdge(nil), r.edges...)
+	w := cfg.Scheme.Weigher(len(edges), c.Len())
+	for i := range edges {
+		e := &edges[i]
+		e.w = w.Weight(e.common, counts[e.u], counts[e.v],
+			int32(len(adj[e.u])), int32(len(adj[e.v])), e.arcs, e.entropy)
+	}
+
+	// Pruning: keep[i] decides edge i; zero and negative weights are
+	// never retained.
+	keep := make([]bool, len(edges))
+	nodeThresholds := func(reduce func(ws []float64) float64) []float64 {
+		th := make([]float64, c.NumProfiles)
+		for n, inc := range adj {
+			if len(inc) == 0 {
+				continue
+			}
+			ws := make([]float64, len(inc))
+			for j, i := range inc {
+				ws[j] = edges[i].w
+			}
+			th[n] = reduce(ws)
+		}
+		return th
+	}
+	mean := func(ws []float64) float64 {
+		s := 0.0
+		for _, x := range ws {
+			s += x
+		}
+		return s / float64(len(ws))
+	}
+	resolve := func(a, b bool) bool {
+		if cfg.Pruning == WNP2 || cfg.Pruning == CNP2 {
+			return a && b
+		}
+		return a || b
+	}
+	switch cfg.Pruning {
+	case WEP:
+		rowSums := make([]float64, c.NumProfiles)
+		rowCounts := make([]int64, c.NumProfiles)
+		for _, e := range edges {
+			rowSums[e.u] += e.w
+			rowCounts[e.u]++
+		}
+		total, n := prune.FoldRowSums(rowSums, rowCounts)
+		for i, e := range edges {
+			keep[i] = e.w >= total/float64(n)
+		}
+	case CEP:
+		k := cfg.K
+		if k <= 0 {
+			k = prune.CEPBudget(counts)
+		}
+		order := make([]int, len(edges))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool { return edges[order[a]].w > edges[order[b]].w })
+		for _, i := range order[:min(k, len(order))] {
+			keep[i] = true
+		}
+	case WNP1, WNP2:
+		th := nodeThresholds(mean)
+		for i, e := range edges {
+			keep[i] = resolve(e.w >= th[e.u], e.w >= th[e.v])
+		}
+	case CNP1, CNP2:
+		k := cfg.K
+		if k <= 0 {
+			k = prune.CNPBudget(counts)
+		}
+		// top[i] marks the endpoints whose top-k list holds edge i.
+		top := make([][2]bool, len(edges))
+		for n, inc := range adj {
+			order := append([]int(nil), inc...)
+			sort.SliceStable(order, func(a, b int) bool { return edges[order[a]].w > edges[order[b]].w })
+			for _, i := range order[:min(k, len(order))] {
+				if int(edges[i].u) == n {
+					top[i][0] = true
+				} else {
+					top[i][1] = true
+				}
+			}
+		}
+		for i := range edges {
+			keep[i] = resolve(top[i][0], top[i][1])
+		}
+	case BlastWNP:
+		cc, d := cfg.C, cfg.D
+		if cc <= 0 {
+			cc = 2
+		}
+		if d <= 0 {
+			d = 2
+		}
+		th := nodeThresholds(func(ws []float64) float64 {
+			m := ws[0]
+			for _, x := range ws {
+				m = max(m, x)
+			}
+			return m / cc
+		})
+		for i, e := range edges {
+			keep[i] = e.w >= (th[e.u]+th[e.v])/d
+		}
+	default:
+		panic(fmt.Sprintf("reference: unknown pruning %v", cfg.Pruning))
+	}
+	out := make([]model.IDPair, 0)
+	for i, e := range edges {
+		if keep[i] && e.w > 0 {
+			out = append(out, model.IDPair{U: e.u, V: e.v})
+		}
+	}
+	return out
+}
+
 // samePairs fails the test unless the two runs retained byte-identical
 // pair lists.
 func samePairs(t *testing.T, label string, want, got []model.IDPair) {
@@ -47,38 +235,31 @@ func samePairs(t *testing.T, label string, want, got []model.IDPair) {
 	}
 }
 
-// engineWorkersAxis is the Workers matrix the node-centric engine is
-// held to: automatic (0 = GOMAXPROCS), serial, and explicit counts —
-// graph build AND pruning must be byte-identical at every value.
+// engineWorkersAxis is the Workers matrix Run is held to: automatic
+// (0 = GOMAXPROCS), serial, and explicit counts — graph build,
+// weighting AND pruning must be byte-identical at every value.
 var engineWorkersAxis = []int{0, 1, 2, 4}
 
-// checkEngineEquivalence runs one configuration through every execution
-// path — edge-list serial and parallel, node-centric across the full
-// Workers axis — and asserts identical output.
+// checkEngineEquivalence runs one configuration through Run across the
+// full Workers axis and asserts output identical to the reference.
 func checkEngineEquivalence(t *testing.T, c *blocking.Collection, cfg Config) {
 	t.Helper()
-	base := cfg
-	base.Engine = EdgeList
-	base.Workers = 1
-	want := Run(c, base)
+	checkAgainst(t, c, referencePairs(c, cfg), cfg)
+}
 
-	parallel := base
-	parallel.Workers = 3
+// checkAgainst asserts Run's output equals want across the Workers axis.
+func checkAgainst(t *testing.T, c *blocking.Collection, want []model.IDPair, cfg Config) {
+	t.Helper()
 	label := cfg.Scheme.Name() + "+" + cfg.Pruning.String()
-	samePairs(t, label+" parallel-build", want.Pairs, Run(c, parallel).Pairs)
-
-	stream := base
-	stream.Engine = NodeCentric
 	for _, workers := range engineWorkersAxis {
-		stream.Workers = workers
-		samePairs(t, fmt.Sprintf("%s node-centric workers=%d", label, workers),
-			want.Pairs, Run(c, stream).Pairs)
+		cfg.Workers = workers
+		samePairs(t, fmt.Sprintf("%s workers=%d", label, workers), want, Run(c, cfg).Pairs)
 	}
 }
 
-// TestEngineEquivalenceRandomized is the property harness of the issue:
-// seeded random collections, every Workers x Pruning x Scheme
-// combination across both engines, byte-identical results.
+// TestEngineEquivalenceRandomized is the property harness: seeded
+// random collections, every Workers x Pruning x Scheme combination,
+// byte-identical to the reference.
 func TestEngineEquivalenceRandomized(t *testing.T) {
 	schemes := allSchemes()
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -116,10 +297,9 @@ func TestEngineEquivalenceConfigKnobs(t *testing.T) {
 	}
 }
 
-// TestEngineEquivalenceRegistryDatasets is the acceptance criterion: on
-// every registry benchmark (token-blocked and cleaned at small scale),
-// the node-centric engine returns byte-identical pairs to the edge-list
-// engine.
+// TestEngineEquivalenceRegistryDatasets: on every registry benchmark
+// (token-blocked and cleaned at small scale), Run returns byte-identical
+// pairs to the reference in every Scheme x Pruning cell.
 func TestEngineEquivalenceRegistryDatasets(t *testing.T) {
 	scales := map[string]float64{"dbp": 0.02, "mov": 0.01, "ar2": 0.02, "cddb": 0.03}
 	for _, name := range datasets.AllNames() {
@@ -132,33 +312,30 @@ func TestEngineEquivalenceRegistryDatasets(t *testing.T) {
 			scale = 0.05
 		}
 		c := blocking.CleanWorkflow(blocking.TokenBlocking(gen(scale, 42)), 0.5, 0.8)
-		for _, cfg := range []Config{
-			DefaultConfig(),
-			{Scheme: weights.Scheme{Kind: weights.JS}, Pruning: WNP2},
-			{Scheme: weights.Scheme{Kind: weights.CBS}, Pruning: CNP1},
-		} {
-			t.Run(name+"/"+cfg.Pruning.String(), func(t *testing.T) {
-				checkEngineEquivalence(t, c, cfg)
+		ref := newReference(c)
+		for _, pruning := range allPrunings {
+			t.Run(name+"/"+pruning.String(), func(t *testing.T) {
+				for _, s := range allSchemes() {
+					cfg := Config{Scheme: s, Pruning: pruning, C: 2, D: 2}
+					checkAgainst(t, c, ref.pairs(cfg), cfg)
+				}
 			})
 		}
 	}
 }
 
-// TestNodeCentricResultShape: the streaming result must carry the CSR
-// (not an edge-list graph) and canonical sorted pairs.
+// TestNodeCentricResultShape: the result must carry the weighted CSR
+// (stats released) and canonical sorted pairs.
 func TestNodeCentricResultShape(t *testing.T) {
-	c := paperBlocks()
-	cfg := DefaultConfig()
-	cfg.Engine = NodeCentric
-	res := Run(c, cfg)
-	if res.Graph != nil {
-		t.Error("node-centric run must not materialize an edge-list graph")
-	}
+	res := Run(paperBlocks(), DefaultConfig())
 	if res.CSR == nil {
-		t.Fatal("node-centric run must carry the CSR")
+		t.Fatal("run must carry the CSR")
 	}
 	if res.CSR.Common != nil || res.CSR.ARCS != nil || res.CSR.EntropySum != nil {
 		t.Error("CSR stats should be released after weighting")
+	}
+	if len(res.CSR.Weights) != len(res.CSR.Neighbors) {
+		t.Error("CSR weights must survive the run")
 	}
 	for i, p := range res.Pairs {
 		if p.U >= p.V {
@@ -176,25 +353,7 @@ func TestNodeCentricPanicsOnUnknownPruning(t *testing.T) {
 			t.Error("unknown pruning should panic")
 		}
 	}()
-	Run(paperBlocks(), Config{Scheme: weights.Blast(), Pruning: Pruning(42), Engine: NodeCentric})
-}
-
-func TestRunPanicsOnUnknownEngine(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown engine should panic, not silently pick one")
-		}
-	}()
-	Run(paperBlocks(), Config{Scheme: weights.Blast(), Pruning: BlastWNP, Engine: Engine(7)})
-}
-
-func TestEngineString(t *testing.T) {
-	if EdgeList.String() != "edge-list" || NodeCentric.String() != "node-centric" {
-		t.Error("Engine.String mismatch")
-	}
-	if Engine(9).String() == "" {
-		t.Error("unknown engine should render")
-	}
+	Run(paperBlocks(), Config{Scheme: weights.Blast(), Pruning: Pruning(42), Workers: 2})
 }
 
 // TestResolveWorkers is the regression test for the documented
@@ -212,34 +371,19 @@ func TestResolveWorkers(t *testing.T) {
 	}
 }
 
+// TestRunResolvesZeroWorkers: the CSR builder partitions work without
+// duplication, so Workers=0 parallelizes at any scale, and explicit
+// counts pass through.
 func TestRunResolvesZeroWorkers(t *testing.T) {
-	// NodeCentric: the CSR builder partitions work without duplication,
-	// so Workers=0 auto-parallelizes at any scale.
-	cfg := DefaultConfig()
-	cfg.Engine = NodeCentric
-	res := Run(paperBlocks(), cfg)
+	res := Run(paperBlocks(), DefaultConfig())
 	if want := runtime.GOMAXPROCS(0); res.Workers != want {
-		t.Errorf("node-centric: Workers = %d, want GOMAXPROCS = %d", res.Workers, want)
+		t.Errorf("Workers = %d, want GOMAXPROCS = %d", res.Workers, want)
 	}
-	// EdgeList: Workers=0 resolves to GOMAXPROCS but the automatic
-	// default declines parallelism below autoParallelMinComparisons
-	// (the sharded builder would scan all pairs once per worker), so
-	// the tiny paper example builds serially...
-	cfg = DefaultConfig()
-	if res := Run(paperBlocks(), cfg); runtime.GOMAXPROCS(0) > 1 && res.Workers != 1 {
-		t.Errorf("edge-list auto: Workers = %d, want 1 on a tiny collection", res.Workers)
-	}
-	// ...while an explicit request is always honored.
-	cfg.Workers = 4
-	if res := Run(paperBlocks(), cfg); res.Workers != 4 {
-		t.Errorf("edge-list explicit: Workers = %d, want 4", res.Workers)
-	}
-	for _, engine := range []Engine{EdgeList, NodeCentric} {
+	for _, workers := range []int{1, 4} {
 		cfg := DefaultConfig()
-		cfg.Engine = engine
-		cfg.Workers = 1
-		if res := Run(paperBlocks(), cfg); res.Workers != 1 {
-			t.Errorf("%v: Workers = %d, want 1", engine, res.Workers)
+		cfg.Workers = workers
+		if res := Run(paperBlocks(), cfg); res.Workers != workers {
+			t.Errorf("Workers = %d, want %d", res.Workers, workers)
 		}
 	}
 }

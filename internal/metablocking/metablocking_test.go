@@ -1,11 +1,11 @@
 package metablocking
 
 import (
+	"slices"
 	"testing"
 
 	"blast/internal/blocking"
 	"blast/internal/datasets"
-	"blast/internal/graph"
 	"blast/internal/metrics"
 	"blast/internal/model"
 	"blast/internal/weights"
@@ -29,16 +29,15 @@ func TestRunBlastOnPaperExample(t *testing.T) {
 
 func TestRunAllPruningsProduceSubsetOfGraph(t *testing.T) {
 	c := paperBlocks()
-	all := graph.Build(c)
 	valid := make(map[uint64]bool)
-	for i := range all.Edges {
-		valid[all.Edges[i].Pair().Key()] = true
+	for i := range c.Blocks {
+		c.Blocks[i].ForEachPair(func(u, v int32) { valid[model.MakePair(int(u), int(v)).Key()] = true })
 	}
 	for _, p := range []Pruning{WEP, CEP, WNP1, WNP2, CNP1, CNP2, BlastWNP} {
 		cfg := DefaultConfig()
 		cfg.Pruning = p
 		res := Run(c, cfg)
-		if int64(len(res.Pairs)) > all.TotalComparisons {
+		if int64(len(res.Pairs)) > c.AggregateCardinality() {
 			t.Errorf("%v retained more pairs than ||B||", p)
 		}
 		seen := make(map[uint64]bool)
@@ -63,22 +62,6 @@ func TestMetaBlockingNeverIncreasesComparisons(t *testing.T) {
 		res := Run(c, cfg)
 		if res.Comparisons() > base {
 			t.Errorf("%v: %d comparisons > input %d", p, res.Comparisons(), base)
-		}
-	}
-}
-
-func TestRunOnGraphMatchesRun(t *testing.T) {
-	c := paperBlocks()
-	cfg := DefaultConfig()
-	a := Run(c, cfg)
-	g := graph.Build(c)
-	b := RunOnGraph(g, cfg)
-	if len(a.Pairs) != len(b.Pairs) {
-		t.Fatalf("Run %d pairs vs RunOnGraph %d", len(a.Pairs), len(b.Pairs))
-	}
-	for i := range a.Pairs {
-		if a.Pairs[i] != b.Pairs[i] {
-			t.Fatalf("pair %d differs", i)
 		}
 	}
 }
@@ -186,30 +169,19 @@ func TestCleanCleanMetaBlocking(t *testing.T) {
 	}
 }
 
-func TestRunOnGraphAllPrunings(t *testing.T) {
+// TestRunAllPruningsRetainGraphEdges: with explicit knobs, every
+// pruning retains only edges of the run's own blocking graph.
+func TestRunAllPruningsRetainGraphEdges(t *testing.T) {
 	c := paperBlocks()
-	for _, p := range []Pruning{WEP, CEP, WNP1, WNP2, CNP1, CNP2, BlastWNP} {
-		g := graph.Build(c)
-		res := RunOnGraph(g, Config{Scheme: weights.Scheme{Kind: weights.CBS}, Pruning: p, K: 3, C: 2, D: 2})
-		if res.Graph != g {
-			t.Errorf("%v: result should carry the graph", p)
-		}
+	for _, p := range allPrunings {
+		res := Run(c, Config{Scheme: weights.Scheme{Kind: weights.CBS}, Pruning: p, K: 3, C: 2, D: 2})
 		for _, pair := range res.Pairs {
-			if g.EdgeBetween(int(pair.U), int(pair.V)) == nil {
+			nbr, _ := res.CSR.Run(int(pair.U))
+			if !slices.Contains(nbr, pair.V) {
 				t.Errorf("%v: pair %v not an edge", p, pair)
 			}
 		}
 	}
-}
-
-func TestRunOnGraphPanicsOnUnknownPruning(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown pruning should panic")
-		}
-	}()
-	g := graph.Build(paperBlocks())
-	RunOnGraph(g, Config{Scheme: weights.Blast(), Pruning: Pruning(77)})
 }
 
 func TestRunWithWorkersMatchesSerial(t *testing.T) {

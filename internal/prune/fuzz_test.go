@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"blast/internal/blocking"
-	"blast/internal/graph"
 	"blast/internal/model"
 	"blast/internal/stats"
 	"blast/internal/weights"
@@ -39,8 +38,7 @@ func FuzzPruneParallel(f *testing.F) {
 			{Kind: weights.ChiSquared, Entropy: true},
 		}
 		s := schemes[int(schemeB)%len(schemes)]
-		csr := graph.BuildCSR(c)
-		s.ApplyCSR(csr)
+		csr := weighted(c, s)
 		// Workers spans serial, small counts, and counts far beyond the
 		// chunk count of these small graphs.
 		workers := 2 + int(workersB)%15

@@ -249,10 +249,8 @@ func stitchPairs(bufs [][]model.IDPair) []model.IDPair {
 // endpoint row is summed left to right into its own partial, and the
 // row partials fold in ascending row order. Combined in chunk order by
 // combinePartials, the result is THE canonical edge-weight sum of the
-// graph — the edge-list WEP computes bit-identical partials from its
-// sorted edge slice (see canonicalWeightSum in prune.go), and a
-// partitioned server refolds the identical total from exchanged
-// per-row sums (see RowWeightSums).
+// graph — a partitioned server refolds the identical total from
+// exchanged per-row sums (see RowWeightSums).
 func chunkPartialSums(ctx context.Context, g *graph.CSR, workers int) (sums []float64, counts []int64, err error) {
 	nch := numChunks(g.NumProfiles)
 	sums = make([]float64, nch)
@@ -283,9 +281,8 @@ func chunkPartialSums(ctx context.Context, g *graph.CSR, workers int) (sums []fl
 }
 
 // combinePartials folds per-chunk partial sums in ascending chunk order,
-// skipping chunks that hold no edges — the fixed reduction shape shared
-// with the edge-list WEP, whose edge iteration never visits empty
-// chunks.
+// skipping chunks that hold no edges — the fixed reduction shape that
+// FoldRowSums reproduces from exchanged per-row sums.
 func combinePartials(sums []float64, counts []int64) float64 {
 	total := 0.0
 	for i, s := range sums {

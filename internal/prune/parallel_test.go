@@ -22,15 +22,20 @@ import (
 	"blast/internal/weights"
 )
 
+// wedge is one weighted edge of a hand-built test graph.
+type wedge struct {
+	U, V   int32
+	Weight float64
+}
+
 // csrFromEdges builds a CSR over n profiles from an explicit canonical
 // edge list with controlled weights (both entries of every edge carry
-// the weight), plus an equivalent edge-list graph — the two inputs the
-// equivalence assertions need.
-func csrFromEdges(n int, edges []graph.Edge) (*graph.CSR, *graph.Graph) {
-	adj := make([][]graph.Edge, n)
+// the weight).
+func csrFromEdges(n int, edges []wedge) *graph.CSR {
+	adj := make([][]wedge, n)
 	for _, e := range edges {
 		adj[e.U] = append(adj[e.U], e)
-		adj[e.V] = append(adj[e.V], graph.Edge{U: e.V, V: e.U, Weight: e.Weight})
+		adj[e.V] = append(adj[e.V], wedge{U: e.V, V: e.U, Weight: e.Weight})
 	}
 	csr := &graph.CSR{
 		NumProfiles: n,
@@ -45,16 +50,32 @@ func csrFromEdges(n int, edges []graph.Edge) (*graph.CSR, *graph.Graph) {
 		}
 		csr.Offsets[u+1] = int64(len(csr.Neighbors))
 	}
-	g := &graph.Graph{
-		NumProfiles: n,
-		Edges:       append([]graph.Edge(nil), edges...),
-		BlockCounts: make([]int32, n),
+	return csr
+}
+
+// referenceCEP is CEP by its textbook definition over a canonically
+// sorted edge list: a stable descending sort by weight, the first k
+// edges, zero and negative weights dropped, output in canonical order.
+func referenceCEP(edges []wedge, k int) []model.IDPair {
+	order := make([]int, len(edges))
+	for i := range order {
+		order[i] = i
 	}
-	sort.Slice(g.Edges, func(i, j int) bool {
-		return g.Edges[i].U < g.Edges[j].U ||
-			(g.Edges[i].U == g.Edges[j].U && g.Edges[i].V < g.Edges[j].V)
-	})
-	return csr, g
+	sort.SliceStable(order, func(a, b int) bool { return edges[order[a]].Weight > edges[order[b]].Weight })
+	if k > len(order) {
+		k = len(order)
+	}
+	keep := make([]bool, len(edges))
+	for _, i := range order[:k] {
+		keep[i] = edges[i].Weight > 0
+	}
+	var out []model.IDPair
+	for i, e := range edges {
+		if keep[i] {
+			out = append(out, model.IDPair{U: e.U, V: e.V})
+		}
+	}
+	return out
 }
 
 // pruneWorkersAxis is the Workers matrix of the determinism contract:
@@ -94,8 +115,7 @@ func TestPruneParallelMatchesSerial(t *testing.T) {
 				{Kind: weights.CBS},
 				{Kind: weights.ChiSquared, Entropy: true},
 			} {
-				csr := graph.BuildCSR(c)
-				s.ApplyCSR(csr)
+				csr := weighted(c, s)
 				serial := runAllSchemes(t, ctx, csr, 1)
 				serialMean, _ := MeanThresholds(ctx, csr, 1)
 				serialBlast, _ := BlastThresholds(ctx, csr, 2, 1)
@@ -140,18 +160,18 @@ func TestSelectCutMatchesSort(t *testing.T) {
 	for pi, pool := range pools {
 		for trial := 0; trial < 4; trial++ {
 			n := 30 + rng.Intn(40)
-			var edges []graph.Edge
+			var edges []wedge
 			for u := 0; u < n; u++ {
 				for v := u + 1; v < n; v++ {
 					if rng.Intn(3) == 0 {
-						edges = append(edges, graph.Edge{U: int32(u), V: int32(v), Weight: pool[rng.Intn(len(pool))]})
+						edges = append(edges, wedge{U: int32(u), V: int32(v), Weight: pool[rng.Intn(len(pool))]})
 					}
 				}
 			}
 			if len(edges) == 0 {
 				continue
 			}
-			csr, _ := csrFromEdges(n, edges)
+			csr := csrFromEdges(n, edges)
 			ws := make([]float64, 0, len(edges))
 			for _, e := range edges {
 				ws = append(ws, e.Weight)
@@ -185,21 +205,21 @@ func TestSelectCutMatchesSort(t *testing.T) {
 }
 
 // TestCEPTieBoundaries is the tie-at-the-cut regression suite: the rem
-// budget accounting must stay byte-identical across the edge-list CEP,
+// budget accounting must stay byte-identical across the textbook CEP,
 // the serial stream and every parallel worker count when many edges tie
 // exactly at the cut, when the ties sit at weight 0, and when k exceeds
 // the positive-weight edge count.
 func TestCEPTieBoundaries(t *testing.T) {
 	ctx := context.Background()
 	must := muster(t)
-	mk := func(ws ...float64) (*graph.CSR, *graph.Graph) {
+	mk := func(ws ...float64) []wedge {
 		// A path graph 0-1, 1-2, ... keeps the canonical edge order
 		// aligned with the weight list.
-		edges := make([]graph.Edge, len(ws))
+		edges := make([]wedge, len(ws))
 		for i, w := range ws {
-			edges[i] = graph.Edge{U: int32(i), V: int32(i + 1), Weight: w}
+			edges[i] = wedge{U: int32(i), V: int32(i + 1), Weight: w}
 		}
-		return csrFromEdges(len(ws)+1, edges)
+		return edges
 	}
 	cases := []struct {
 		name string
@@ -214,9 +234,10 @@ func TestCEPTieBoundaries(t *testing.T) {
 		{"negative-and-zero", []float64{-1, 0, 2, -1, 0}, []int{1, 2, 4, 5}},
 	}
 	for _, tc := range cases {
-		csr, g := mk(tc.ws...)
+		edges := mk(tc.ws...)
+		csr := csrFromEdges(len(edges)+1, edges)
 		for _, k := range tc.ks {
-			want := pairsOf(g, CEP(g, k))
+			want := referenceCEP(edges, k)
 			for _, workers := range []int{1, 2, 4} {
 				got := must(CEPStream(ctx, csr, k, workers))
 				comparePairs(t, fmt.Sprintf("%s k=%d workers=%d", tc.name, k, workers), want, got)
@@ -268,13 +289,13 @@ func (c *pollCountCtx) Err() error {
 
 // denseCSR builds the complete graph on n nodes with synthetic weights.
 func denseCSR(n int) *graph.CSR {
-	var edges []graph.Edge
+	var edges []wedge
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			edges = append(edges, graph.Edge{U: int32(u), V: int32(v), Weight: float64((u*31+v)%17) + 0.5})
+			edges = append(edges, wedge{U: int32(u), V: int32(v), Weight: float64((u*31+v)%17) + 0.5})
 		}
 	}
-	csr, _ := csrFromEdges(n, edges)
+	csr := csrFromEdges(n, edges)
 	return csr
 }
 
@@ -334,7 +355,7 @@ func TestCancellationPollsPerEdge(t *testing.T) {
 // graphs smaller than one poll budget: a pre-cancelled context must
 // surface from every scheme even when no tick would ever fire.
 func TestCancellationTinyGraph(t *testing.T) {
-	csr, _ := csrFromEdges(4, []graph.Edge{
+	csr := csrFromEdges(4, []wedge{
 		{U: 0, V: 1, Weight: 2}, {U: 1, V: 2, Weight: 1}, {U: 2, V: 3, Weight: 3},
 	})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -357,14 +378,14 @@ func TestCancellationTinyGraph(t *testing.T) {
 // other node — one adjacency run longer than the poll stride — plus a
 // ring of light edges among the leaves.
 func hubCSR(n int) *graph.CSR {
-	edges := make([]graph.Edge, 0, n+n/8)
+	edges := make([]wedge, 0, n+n/8)
 	for v := 1; v < n; v++ {
-		edges = append(edges, graph.Edge{U: 0, V: int32(v), Weight: float64(v%11) + 0.25})
+		edges = append(edges, wedge{U: 0, V: int32(v), Weight: float64(v%11) + 0.25})
 	}
 	for v := 1; v+8 < n; v += 8 {
-		edges = append(edges, graph.Edge{U: int32(v), V: int32(v + 8), Weight: 0.75})
+		edges = append(edges, wedge{U: int32(v), V: int32(v + 8), Weight: 0.75})
 	}
-	csr, _ := csrFromEdges(n, edges)
+	csr := csrFromEdges(n, edges)
 	return csr
 }
 

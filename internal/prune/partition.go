@@ -1,5 +1,5 @@
 // Distributed pruning primitives for partitioned sharding. A
-// partitioned shard holds an owned-rows CSR (graph.BuildOwnedCSR):
+// partitioned shard holds an owned-rows CSR (graph.BuildCSR with owns):
 // full-length Offsets, adjacency runs only for the rows it owns. The
 // global pruning decisions — WEP's mean, CEP's cut, the node-centric
 // thresholds and top-k marks of the rows a canonical edge touches — are

@@ -1,6 +1,7 @@
 package prune
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -12,20 +13,75 @@ import (
 	"blast/internal/weights"
 )
 
-// figure1Graph returns the paper's blocking graph with CBS weights
-// (Figure 1c): p1p2=1, p1p3=4, p1p4=3, p2p3=4, p2p4=4, p3p4=1.
-func figure1Graph() *graph.Graph {
-	g := graph.Build(blocking.TokenBlocking(datasets.PaperExample()))
-	weights.Scheme{Kind: weights.CBS}.Apply(g)
+// weighted builds the CSR of c and weighs it with s.
+func weighted(c *blocking.Collection, s weights.Scheme) *graph.CSR {
+	g, err := graph.BuildCSR(context.Background(), c, nil, 1)
+	if err != nil {
+		panic(err)
+	}
+	s.ApplyCSR(g, g.Degrees(), g.NumEdges(), 1)
 	return g
 }
 
-func retainedPairs(g *graph.Graph, idx []int) map[model.IDPair]bool {
-	out := make(map[model.IDPair]bool, len(idx))
-	for _, i := range idx {
-		out[g.Edges[i].Pair()] = true
+// figure1Graph returns the paper's blocking graph with CBS weights
+// (Figure 1c): p1p2=1, p1p3=4, p1p4=3, p2p3=4, p2p4=4, p3p4=1.
+func figure1Graph() *graph.CSR {
+	return weighted(blocking.TokenBlocking(datasets.PaperExample()), weights.Scheme{Kind: weights.CBS})
+}
+
+// The pruning schemes, run serially under a background context (which
+// never cancels, so an error is a test bug).
+func wep(g *graph.CSR) []model.IDPair { return mustPairs(WEPStream(context.Background(), g, 1)) }
+func cep(g *graph.CSR, k int) []model.IDPair {
+	return mustPairs(CEPStream(context.Background(), g, k, 1))
+}
+func wnp(g *graph.CSR, mode Mode) []model.IDPair {
+	return mustPairs(WNPStream(context.Background(), g, mode, 1))
+}
+func cnp(g *graph.CSR, k int, mode Mode) []model.IDPair {
+	return mustPairs(CNPStream(context.Background(), g, k, mode, 1))
+}
+func blastWNP(g *graph.CSR, c, d float64) []model.IDPair {
+	return mustPairs(BlastWNPStream(context.Background(), g, c, d, 1))
+}
+
+func mustPairs(pairs []model.IDPair, err error) []model.IDPair {
+	if err != nil {
+		panic(err)
+	}
+	return pairs
+}
+
+func retainedPairs(pairs []model.IDPair) map[model.IDPair]bool {
+	out := make(map[model.IDPair]bool, len(pairs))
+	for _, p := range pairs {
+		out[p] = true
 	}
 	return out
+}
+
+// weightOf returns the weight of edge (u, v), read from u's run; ok is
+// false when the nodes are not adjacent.
+func weightOf(g *graph.CSR, u, v int32) (w float64, ok bool) {
+	nbr, wts := g.Run(int(u))
+	for i, j := range nbr {
+		if j == v {
+			return wts[i], true
+		}
+	}
+	return 0, false
+}
+
+// setWeight overwrites both entries of edge (u, v).
+func setWeight(g *graph.CSR, u, v int32, w float64) {
+	for _, e := range [][2]int32{{u, v}, {v, u}} {
+		nbr, _ := g.Run(int(e[0]))
+		for i, j := range nbr {
+			if j == e[1] {
+				g.Weights[g.Offsets[e[0]]+int64(i)] = w
+			}
+		}
+	}
 }
 
 // TestWNPFigure1d: traditional WNP with local-average thresholds on the
@@ -34,7 +90,7 @@ func retainedPairs(g *graph.Graph, idx []int) map[model.IDPair]bool {
 func TestWNPFigure1d(t *testing.T) {
 	g := figure1Graph()
 	for _, mode := range []Mode{Redefined, Reciprocal} {
-		got := retainedPairs(g, WNP(g, mode))
+		got := retainedPairs(wnp(g, mode))
 		want := []model.IDPair{
 			model.MakePair(0, 2), model.MakePair(1, 3),
 			model.MakePair(0, 3), model.MakePair(1, 2),
@@ -56,7 +112,7 @@ func TestWNPFigure1d(t *testing.T) {
 func TestWEPGlobalAverage(t *testing.T) {
 	g := figure1Graph()
 	// Mean weight = 17/6 = 2.83: keeps the 3s and 4s.
-	got := retainedPairs(g, WEP(g))
+	got := retainedPairs(wep(g))
 	if len(got) != 4 {
 		t.Fatalf("WEP retained %d, want 4", len(got))
 	}
@@ -67,21 +123,21 @@ func TestWEPGlobalAverage(t *testing.T) {
 
 func TestCEPTopK(t *testing.T) {
 	g := figure1Graph()
-	got := CEP(g, 3)
+	got := cep(g, 3)
 	if len(got) != 3 {
 		t.Fatalf("CEP(3) retained %d", len(got))
 	}
-	for _, i := range got {
-		if g.Edges[i].Weight < 3 {
-			t.Errorf("CEP kept weight %v while heavier edges exist", g.Edges[i].Weight)
+	for _, p := range got {
+		if w, _ := weightOf(g, p.U, p.V); w < 3 {
+			t.Errorf("CEP kept weight %v while heavier edges exist", w)
 		}
 	}
 	// k larger than edges: everything with positive weight.
-	if got := CEP(g, 100); len(got) != 6 {
+	if got := cep(g, 100); len(got) != 6 {
 		t.Errorf("CEP(100) = %d, want all 6", len(got))
 	}
 	// Default k = sum|B_i|/2 = 26/2 = 13 > 6: all edges.
-	if got := CEP(g, 0); len(got) != 6 {
+	if got := cep(g, 0); len(got) != 6 {
 		t.Errorf("CEP(default) = %d, want 6", len(got))
 	}
 }
@@ -89,8 +145,8 @@ func TestCEPTopK(t *testing.T) {
 func TestCNPModes(t *testing.T) {
 	g := figure1Graph()
 	// k=1: each node marks its single best edge (stable order for ties).
-	red := retainedPairs(g, CNP(g, 1, Redefined))
-	rec := retainedPairs(g, CNP(g, 1, Reciprocal))
+	red := retainedPairs(cnp(g, 1, Redefined))
+	rec := retainedPairs(cnp(g, 1, Reciprocal))
 	// Reciprocal must be a subset of redefined.
 	for p := range rec {
 		if !red[p] {
@@ -111,7 +167,7 @@ func TestCNPModes(t *testing.T) {
 func TestCNPDefaultK(t *testing.T) {
 	g := figure1Graph()
 	// Default k = round(26/4) = 7 >= degree: keeps all positive edges.
-	if got := CNP(g, 0, Redefined); len(got) != 6 {
+	if got := cnp(g, 0, Redefined); len(got) != 6 {
 		t.Errorf("CNP(default) = %d, want 6", len(got))
 	}
 }
@@ -120,7 +176,7 @@ func TestCNPDefaultK(t *testing.T) {
 // edge threshold is 2, retaining the four heavy edges.
 func TestBlastWNPFigure1(t *testing.T) {
 	g := figure1Graph()
-	got := retainedPairs(g, BlastWNP(g, 2, 2))
+	got := retainedPairs(blastWNP(g, 2, 2))
 	if len(got) != 4 {
 		t.Fatalf("BlastWNP retained %d, want 4", len(got))
 	}
@@ -133,9 +189,8 @@ func TestBlastWNPFigure1(t *testing.T) {
 // example leaves only the true matches with positive weight; pruning
 // yields exactly PC=1, PQ=1.
 func TestBlastWNPWithBlastWeighting(t *testing.T) {
-	g := graph.Build(blocking.TokenBlocking(datasets.PaperExample()))
-	weights.Blast().Apply(g)
-	got := retainedPairs(g, BlastWNP(g, 2, 2))
+	g := weighted(blocking.TokenBlocking(datasets.PaperExample()), weights.Blast())
+	got := retainedPairs(blastWNP(g, 2, 2))
 	if len(got) != 2 {
 		t.Fatalf("retained %d, want exactly the 2 matches: %v", len(got), got)
 	}
@@ -161,24 +216,22 @@ func TestBlastWNPThresholdIndependence(t *testing.T) {
 	addPairBlocks(base, 0, 2, 2, "y")
 	addPairBlocks(base, 0, 3, 1, "z")
 
-	decide := func(c *blocking.Collection, prune func(*graph.Graph) []int) map[model.IDPair]bool {
-		g := graph.Build(c)
-		weights.Scheme{Kind: weights.CBS}.Apply(g)
-		return retainedPairs(g, prune(g))
+	decide := func(c *blocking.Collection, prune func(*graph.CSR) []model.IDPair) map[model.IDPair]bool {
+		return retainedPairs(prune(weighted(c, weights.Scheme{Kind: weights.CBS})))
 	}
 
 	// Reciprocal mode isolates node 0's threshold: the other endpoints are
 	// leaves whose only edge always passes their own threshold.
-	blastBefore := decide(base, func(g *graph.Graph) []int { return BlastWNP(g, 2, 2) })
-	wnpBefore := decide(base, func(g *graph.Graph) []int { return WNP(g, Reciprocal) })
+	blastBefore := decide(base, func(g *graph.CSR) []model.IDPair { return blastWNP(g, 2, 2) })
+	wnpBefore := decide(base, func(g *graph.CSR) []model.IDPair { return wnp(g, Reciprocal) })
 
 	// Add two more weight-1 neighbors (the p5, p6 of Figure 6a).
 	extended := base.Clone()
 	addPairBlocks(extended, 0, 4, 1, "w")
 	addPairBlocks(extended, 0, 5, 1, "v")
 
-	blastAfter := decide(extended, func(g *graph.Graph) []int { return BlastWNP(g, 2, 2) })
-	wnpAfter := decide(extended, func(g *graph.Graph) []int { return WNP(g, Reciprocal) })
+	blastAfter := decide(extended, func(g *graph.CSR) []model.IDPair { return blastWNP(g, 2, 2) })
+	wnpAfter := decide(extended, func(g *graph.CSR) []model.IDPair { return wnp(g, Reciprocal) })
 
 	target := model.MakePair(0, 2) // the weight-2 edge
 	if blastBefore[target] != blastAfter[target] {
@@ -195,8 +248,8 @@ func TestBlastWNPThresholdIndependence(t *testing.T) {
 
 func TestBlastWNPDefaults(t *testing.T) {
 	g := figure1Graph()
-	a := BlastWNP(g, 0, 0) // defaults c=2, d=2
-	b := BlastWNP(g, 2, 2)
+	a := blastWNP(g, 0, 0) // defaults c=2, d=2
+	b := blastWNP(g, 2, 2)
 	if len(a) != len(b) {
 		t.Errorf("default params differ: %d vs %d", len(a), len(b))
 	}
@@ -204,9 +257,9 @@ func TestBlastWNPDefaults(t *testing.T) {
 
 func TestBlastWNPHigherCRetainsMore(t *testing.T) {
 	g := figure1Graph()
-	strict := BlastWNP(g, 1, 2)  // theta_i = M_i
-	def := BlastWNP(g, 2, 2)     // theta_i = M_i/2
-	loose := BlastWNP(g, 100, 2) // theta_i ~ 0
+	strict := blastWNP(g, 1, 2)  // theta_i = M_i
+	def := blastWNP(g, 2, 2)     // theta_i = M_i/2
+	loose := blastWNP(g, 100, 2) // theta_i ~ 0
 	if !(len(strict) <= len(def) && len(def) <= len(loose)) {
 		t.Errorf("retention not monotone in c: %d, %d, %d", len(strict), len(def), len(loose))
 	}
@@ -218,42 +271,38 @@ func TestBlastWNPHigherCRetainsMore(t *testing.T) {
 func TestZeroWeightEdgesNeverRetained(t *testing.T) {
 	g := figure1Graph()
 	// Zero out two edges.
-	for i := range g.Edges {
-		e := &g.Edges[i]
-		if e.Pair() == model.MakePair(0, 1) || e.Pair() == model.MakePair(2, 3) {
-			e.Weight = 0
-		}
+	setWeight(g, 0, 1, 0)
+	setWeight(g, 2, 3, 0)
+	checks := map[string][]model.IDPair{
+		"WEP":      wep(g),
+		"CEP":      cep(g, 100),
+		"WNP1":     wnp(g, Redefined),
+		"WNP2":     wnp(g, Reciprocal),
+		"CNP1":     cnp(g, 10, Redefined),
+		"CNP2":     cnp(g, 10, Reciprocal),
+		"BlastWNP": blastWNP(g, 2, 2),
 	}
-	checks := map[string][]int{
-		"WEP":      WEP(g),
-		"CEP":      CEP(g, 100),
-		"WNP1":     WNP(g, Redefined),
-		"WNP2":     WNP(g, Reciprocal),
-		"CNP1":     CNP(g, 10, Redefined),
-		"CNP2":     CNP(g, 10, Reciprocal),
-		"BlastWNP": BlastWNP(g, 2, 2),
-	}
-	for name, idx := range checks {
-		for _, i := range idx {
-			if g.Edges[i].Weight <= 0 {
-				t.Errorf("%s retained zero-weight edge %v", name, g.Edges[i].Pair())
+	for name, pairs := range checks {
+		for _, p := range pairs {
+			if w, _ := weightOf(g, p.U, p.V); w <= 0 {
+				t.Errorf("%s retained zero-weight edge %v", name, p)
 			}
 		}
 	}
 }
 
 func TestEmptyGraph(t *testing.T) {
-	g := &graph.Graph{NumProfiles: 3, Degrees: make([]int32, 3), BlockCounts: make([]int32, 3)}
-	if WEP(g) != nil || CEP(g, 5) != nil || WNP(g, Redefined) != nil ||
-		CNP(g, 2, Reciprocal) != nil || BlastWNP(g, 2, 2) != nil {
+	g := &graph.CSR{NumProfiles: 3, Offsets: make([]int64, 4), BlockCounts: make([]int32, 3)}
+	if wep(g) != nil || cep(g, 5) != nil || wnp(g, Redefined) != nil ||
+		cnp(g, 2, Reciprocal) != nil || blastWNP(g, 2, 2) != nil {
 		t.Error("empty graph should prune to nothing")
 	}
 }
 
 func TestReciprocalSubsetOfRedefined(t *testing.T) {
 	g := figure1Graph()
-	redW := retainedPairs(g, WNP(g, Redefined))
-	recW := retainedPairs(g, WNP(g, Reciprocal))
+	redW := retainedPairs(wnp(g, Redefined))
+	recW := retainedPairs(wnp(g, Reciprocal))
 	for p := range recW {
 		if !redW[p] {
 			t.Errorf("WNP reciprocal edge %v not in redefined set", p)
@@ -265,34 +314,25 @@ func TestReciprocalSubsetOfRedefined(t *testing.T) {
 // keeps at least its maximum-weight edge (it is >= the node average).
 func TestWNPRetainsLocalMaximum(t *testing.T) {
 	g := figure1Graph()
-	kept := retainedPairs(g, WNP(g, Redefined))
-	adj := g.Adjacency()
-	for node, edges := range adj {
-		if len(edges) == 0 {
-			continue
-		}
-		best := edges[0]
-		for _, ei := range edges[1:] {
-			if g.Edges[ei].Weight > g.Edges[best].Weight {
-				best = ei
-			}
-		}
-		if !kept[g.Edges[best].Pair()] {
-			t.Errorf("node %d max edge %v pruned by redefined WNP", node, g.Edges[best].Pair())
+	kept := retainedPairs(wnp(g, Redefined))
+	for node := 0; node < g.NumProfiles; node++ {
+		if best, ok := maxEdge(g, node); ok && !kept[best] {
+			t.Errorf("node %d max edge %v pruned by redefined WNP", node, best)
 		}
 	}
 }
 
 func TestGlobalMaximumSurvivesBlastWNP(t *testing.T) {
 	g := figure1Graph()
-	kept := retainedPairs(g, BlastWNP(g, 2, 2))
-	var best *graph.Edge
-	for i := range g.Edges {
-		if best == nil || g.Edges[i].Weight > best.Weight {
-			best = &g.Edges[i]
+	kept := retainedPairs(blastWNP(g, 2, 2))
+	var best model.IDPair
+	bestW := -1.0
+	g.Canonical(func(u, v int32, p int64) {
+		if g.Weights[p] > bestW {
+			best, bestW = model.IDPair{U: u, V: v}, g.Weights[p]
 		}
-	}
-	if !kept[best.Pair()] {
+	})
+	if !kept[best] {
 		t.Error("global maximum edge pruned")
 	}
 }
@@ -303,8 +343,24 @@ func TestModeString(t *testing.T) {
 	}
 }
 
+// maxEdge returns node's first maximum-weight edge (canonical pair);
+// ok is false for an edgeless node.
+func maxEdge(g *graph.CSR, node int) (best model.IDPair, ok bool) {
+	nbr, wts := g.Run(node)
+	if len(nbr) == 0 {
+		return best, false
+	}
+	bi := 0
+	for i := range wts {
+		if wts[i] > wts[bi] {
+			bi = i
+		}
+	}
+	return model.MakePair(node, int(nbr[bi])), true
+}
+
 // randomGraph builds a random weighted blocking graph for property tests.
-func randomGraph(seed uint64, nodes, blocks int) *graph.Graph {
+func randomGraph(seed uint64, nodes, blocks int) *graph.CSR {
 	rng := stats.NewRNG(seed)
 	c := &blocking.Collection{Kind: model.Dirty, NumProfiles: nodes}
 	for b := 0; b < blocks; b++ {
@@ -322,80 +378,60 @@ func randomGraph(seed uint64, nodes, blocks int) *graph.Graph {
 			Key: fmt.Sprintf("b%04d", b), P1: members, Entropy: 1,
 		})
 	}
-	g := graph.Build(c)
-	weights.Scheme{Kind: weights.CBS}.Apply(g)
-	return g
+	return weighted(c, weights.Scheme{Kind: weights.CBS})
 }
 
 // TestPruningInvariantsRandomGraphs: on arbitrary graphs, (1) reciprocal
 // node-centric results are subsets of redefined ones, (2) retained
-// indexes are sorted and valid, (3) CEP(k) retains at most k edges,
-// (4) WNP redefined keeps every node's maximum edge.
+// pairs are strictly sorted canonical edges of the graph, (3) CEP(k)
+// retains at most k edges, (4) WNP redefined keeps every node's maximum
+// edge.
 func TestPruningInvariantsRandomGraphs(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
 		g := randomGraph(seed, 12+int(seed)%20, 30+int(seed*3)%40)
 		if g.NumEdges() == 0 {
 			continue
 		}
-		checkSorted := func(name string, idx []int) {
-			for i := range idx {
-				if idx[i] < 0 || idx[i] >= g.NumEdges() {
-					t.Fatalf("seed %d %s: index %d out of range", seed, name, idx[i])
+		checkSorted := func(name string, pairs []model.IDPair) {
+			for i, p := range pairs {
+				if _, ok := weightOf(g, p.U, p.V); !ok || p.U >= p.V {
+					t.Fatalf("seed %d %s: %v is not a canonical edge", seed, name, p)
 				}
-				if i > 0 && idx[i] <= idx[i-1] {
-					t.Fatalf("seed %d %s: indexes not strictly sorted", seed, name)
+				if i > 0 && p.Key() <= pairs[i-1].Key() {
+					t.Fatalf("seed %d %s: pairs not strictly sorted", seed, name)
 				}
 			}
 		}
-		wnpR := WNP(g, Redefined)
-		wnpC := WNP(g, Reciprocal)
-		cnpR := CNP(g, 3, Redefined)
-		cnpC := CNP(g, 3, Reciprocal)
-		wep := WEP(g)
-		cep := CEP(g, 5)
-		bl := BlastWNP(g, 2, 2)
-		for name, idx := range map[string][]int{
+		wnpR := wnp(g, Redefined)
+		wnpC := wnp(g, Reciprocal)
+		cnpR := cnp(g, 3, Redefined)
+		cnpC := cnp(g, 3, Reciprocal)
+		cep5 := cep(g, 5)
+		for name, pairs := range map[string][]model.IDPair{
 			"wnp1": wnpR, "wnp2": wnpC, "cnp1": cnpR, "cnp2": cnpC,
-			"wep": wep, "cep": cep, "blast": bl,
+			"wep": wep(g), "cep": cep5, "blast": blastWNP(g, 2, 2),
 		} {
-			checkSorted(name, idx)
+			checkSorted(name, pairs)
 		}
-		inSet := func(idx []int) map[int]bool {
-			m := make(map[int]bool, len(idx))
-			for _, i := range idx {
-				m[i] = true
-			}
-			return m
-		}
-		redW := inSet(wnpR)
-		for _, i := range wnpC {
-			if !redW[i] {
-				t.Fatalf("seed %d: wnp2 edge %d not in wnp1", seed, i)
+		redW := retainedPairs(wnpR)
+		for _, p := range wnpC {
+			if !redW[p] {
+				t.Fatalf("seed %d: wnp2 edge %v not in wnp1", seed, p)
 			}
 		}
-		redC := inSet(cnpR)
-		for _, i := range cnpC {
-			if !redC[i] {
-				t.Fatalf("seed %d: cnp2 edge %d not in cnp1", seed, i)
+		redC := retainedPairs(cnpR)
+		for _, p := range cnpC {
+			if !redC[p] {
+				t.Fatalf("seed %d: cnp2 edge %v not in cnp1", seed, p)
 			}
 		}
-		if len(cep) > 5 {
-			t.Fatalf("seed %d: CEP(5) kept %d", seed, len(cep))
+		if len(cep5) > 5 {
+			t.Fatalf("seed %d: CEP(5) kept %d", seed, len(cep5))
 		}
 		// Redefined WNP keeps every node's max-weight edge.
-		kept := inSet(wnpR)
-		adj := g.Adjacency()
-		for node, edges := range adj {
-			if len(edges) == 0 {
-				continue
-			}
-			best := int(edges[0])
-			for _, ei := range edges[1:] {
-				if g.Edges[ei].Weight > g.Edges[best].Weight {
-					best = int(ei)
-				}
-			}
-			if g.Edges[best].Weight > 0 && !kept[best] {
+		for node := 0; node < g.NumProfiles; node++ {
+			best, ok := maxEdge(g, node)
+			if w, _ := weightOf(g, best.U, best.V); ok && w > 0 && !redW[best] {
 				t.Fatalf("seed %d: node %d max edge pruned by wnp1", seed, node)
 			}
 		}
@@ -407,24 +443,17 @@ func TestPruningInvariantsRandomGraphs(t *testing.T) {
 func TestBlastWNPSubsetOfLooserD(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		g := randomGraph(seed, 15, 40)
-		tight := BlastWNP(g, 2, 1)
-		def := BlastWNP(g, 2, 2)
-		loose := BlastWNP(g, 2, 4)
-		in := func(idx []int) map[int]bool {
-			m := make(map[int]bool)
-			for _, i := range idx {
-				m[i] = true
-			}
-			return m
-		}
-		defSet, looseSet := in(def), in(loose)
-		for _, i := range tight {
-			if !defSet[i] {
+		tight := blastWNP(g, 2, 1)
+		def := blastWNP(g, 2, 2)
+		loose := blastWNP(g, 2, 4)
+		defSet, looseSet := retainedPairs(def), retainedPairs(loose)
+		for _, p := range tight {
+			if !defSet[p] {
 				t.Fatalf("seed %d: d=1 edge missing at d=2", seed)
 			}
 		}
-		for _, i := range def {
-			if !looseSet[i] {
+		for _, p := range def {
+			if !looseSet[p] {
 				t.Fatalf("seed %d: d=2 edge missing at d=4", seed)
 			}
 		}

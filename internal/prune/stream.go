@@ -1,9 +1,7 @@
 // Streaming (node-centric) implementations of the pruning schemes over
-// the CSR blocking graph. Unlike the edge-list functions, which return
-// indexes into Graph.Edges, these consume graph.CSR — where no edge list
+// the CSR blocking graph. They consume graph.CSR — where no edge list
 // exists — and emit the retained pairs directly, in canonical (u, v)
-// order. For every scheme the retained set is identical to its edge-list
-// counterpart.
+// order.
 //
 // Every streaming scheme runs its passes — per-node thresholds, top-k
 // marking, histogram counting, retention emission — over the fixed node
@@ -32,8 +30,8 @@ import (
 
 // WEPStream is WEP over the CSR graph: discard every edge whose weight
 // is below the mean edge weight. The mean's numerator is the chunked
-// canonical weight sum (combined in chunk order), shared bit for bit
-// with the edge-list WEP.
+// canonical weight sum (combined in chunk order), which a partitioned
+// server refolds bit for bit from exchanged row sums.
 func WEPStream(ctx context.Context, g *graph.CSR, workers int) ([]model.IDPair, error) {
 	if g.NumEdges() == 0 {
 		return nil, ctx.Err()
@@ -50,8 +48,8 @@ func WEPStream(ctx context.Context, g *graph.CSR, workers int) ([]model.IDPair, 
 
 // CEPStream is CEP over the CSR graph: retain the globally top-k edges
 // by weight (k <= 0 uses the block-membership budget), breaking ties at
-// the cut in favor of canonically smaller pairs — the same tie rule as
-// the stable sort of the edge-list CEP. The cut is located by the
+// the cut in favor of canonically smaller pairs — the tie rule of a
+// stable descending sort over canonical order. The cut is located by the
 // bounded histogram selection of select.go; no O(|E|) weight scratch is
 // ever allocated.
 func CEPStream(ctx context.Context, g *graph.CSR, k, workers int) ([]model.IDPair, error) {
@@ -191,7 +189,7 @@ func blastReducer(c float64) runReducer {
 
 // nodeThresholdsCSR computes a per-node threshold by reducing each
 // node's adjacent weights; nodes without edges get 0. Each run is
-// reduced in adjacency order, matching the edge-list nodeThresholds.
+// reduced in adjacency (ascending neighbor) order.
 // Chunks run on `workers` goroutines, writing disjoint index ranges of
 // the result; the values are per-node, so the worker count cannot
 // change a single bit.
@@ -313,8 +311,7 @@ func emitByThreshold(ctx context.Context, g *graph.CSR, workers int, keep func(w
 }
 
 // CNPStream is CNP over the CSR graph: each node marks its top-k
-// adjacent edges by weight (stable on the adjacency order, like the
-// edge-list CNP), and an edge is retained if the marks of its endpoints
+// adjacent edges by weight (stable on the adjacency order), and an edge is retained if the marks of its endpoints
 // satisfy the mode. The mark pass writes only positions inside its
 // chunk's runs, so chunks never race; the retention pass locates each
 // edge's mirror entry by binary search instead of the serial cursor

@@ -2,7 +2,6 @@ package prune
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"blast/internal/blocking"
@@ -26,25 +25,6 @@ func muster(t *testing.T) func([]model.IDPair, error) []model.IDPair {
 	}
 }
 
-// weightedPair builds both graph representations of a collection with
-// the same scheme applied.
-func weightedPairReps(c *blocking.Collection, s weights.Scheme) (*graph.Graph, *graph.CSR) {
-	g := graph.Build(c)
-	s.Apply(g)
-	csr := graph.BuildCSR(c)
-	s.ApplyCSR(csr)
-	return g, csr
-}
-
-// pairsOf materializes the pairs of retained edge indexes.
-func pairsOf(g *graph.Graph, idx []int) []model.IDPair {
-	out := make([]model.IDPair, len(idx))
-	for i, e := range idx {
-		out[i] = g.Edges[e].Pair()
-	}
-	return out
-}
-
 func comparePairs(t *testing.T, label string, want, got []model.IDPair) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -57,45 +37,13 @@ func comparePairs(t *testing.T, label string, want, got []model.IDPair) {
 	}
 }
 
-// TestStreamMatchesEdgeListOnRandomCollections drives every streaming
-// scheme against its edge-list counterpart on random collections.
-func TestStreamMatchesEdgeListOnRandomCollections(t *testing.T) {
-	ctx := context.Background()
-	must := muster(t)
-	for seed := uint64(1); seed <= 8; seed++ {
-		rng := stats.NewRNG(seed)
-		for _, kind := range []model.Kind{model.Dirty, model.CleanClean} {
-			c := blocking.RandomCollection(rng, kind, 40+rng.Intn(50), 30+rng.Intn(30))
-			for _, s := range []weights.Scheme{
-				{Kind: weights.CBS},
-				{Kind: weights.EJS},
-				{Kind: weights.ChiSquared, Entropy: true},
-			} {
-				g, csr := weightedPairReps(c, s)
-				label := fmt.Sprintf("seed=%d kind=%v %s", seed, kind, s.Name())
-				comparePairs(t, label+" wep", pairsOf(g, WEP(g)), must(WEPStream(ctx, csr, 1)))
-				comparePairs(t, label+" cep", pairsOf(g, CEP(g, 0)), must(CEPStream(ctx, csr, 0, 1)))
-				comparePairs(t, label+" cep5", pairsOf(g, CEP(g, 5)), must(CEPStream(ctx, csr, 5, 1)))
-				for _, mode := range []Mode{Redefined, Reciprocal} {
-					comparePairs(t, label+" wnp", pairsOf(g, WNP(g, mode)), must(WNPStream(ctx, csr, mode, 1)))
-					comparePairs(t, label+" cnp", pairsOf(g, CNP(g, 0, mode)), must(CNPStream(ctx, csr, 0, mode, 1)))
-					comparePairs(t, label+" cnp2", pairsOf(g, CNP(g, 2, mode)), must(CNPStream(ctx, csr, 2, mode, 1)))
-				}
-				comparePairs(t, label+" blast", pairsOf(g, BlastWNP(g, 2, 2)), must(BlastWNPStream(ctx, csr, 2, 2, 1)))
-				comparePairs(t, label+" blast41", pairsOf(g, BlastWNP(g, 4, 1)), must(BlastWNPStream(ctx, csr, 4, 1, 1)))
-			}
-		}
-	}
-}
-
 // TestStreamFigure1: the streaming BLAST pruning reproduces the paper
-// example exactly, like the edge-list one.
+// example exactly.
 func TestStreamFigure1(t *testing.T) {
 	must := muster(t)
 	ds := datasets.PaperExample()
 	c := blocking.TokenBlocking(ds)
-	csr := graph.BuildCSR(c)
-	weights.Blast().ApplyCSR(csr)
+	csr := weighted(c, weights.Blast())
 	pairs := must(BlastWNPStream(context.Background(), csr, 2, 2, 1))
 	if len(pairs) != 2 {
 		t.Fatalf("retained %d pairs, want 2", len(pairs))
@@ -113,7 +61,7 @@ func TestStreamEmptyGraph(t *testing.T) {
 	ctx := context.Background()
 	must := muster(t)
 	c := &blocking.Collection{Kind: model.Dirty, NumProfiles: 3}
-	csr := graph.BuildCSR(c)
+	csr := weighted(c, weights.Scheme{Kind: weights.CBS})
 	if must(WEPStream(ctx, csr, 1)) != nil || must(CEPStream(ctx, csr, 0, 1)) != nil ||
 		must(WNPStream(ctx, csr, Redefined, 1)) != nil || must(CNPStream(ctx, csr, 0, Reciprocal, 1)) != nil ||
 		must(BlastWNPStream(ctx, csr, 2, 2, 1)) != nil {
@@ -121,15 +69,17 @@ func TestStreamEmptyGraph(t *testing.T) {
 	}
 }
 
-// TestStreamZeroWeightsNeverRetained mirrors the edge-list contract: a
-// zero weight means no evidence, so nothing is emitted even though the
+// TestStreamZeroWeightsNeverRetained: a zero weight means no evidence, so nothing is emitted even though the
 // thresholds degenerate to zero.
 func TestStreamZeroWeightsNeverRetained(t *testing.T) {
 	ctx := context.Background()
 	must := muster(t)
 	rng := stats.NewRNG(5)
 	c := blocking.RandomCollection(rng, model.Dirty, 30, 20)
-	csr := graph.BuildCSR(c) // weights left at zero
+	csr, err := graph.BuildCSR(ctx, c, nil, 1) // weights left at zero
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, pairs := range map[string][]model.IDPair{
 		"wep":   must(WEPStream(ctx, csr, 1)),
 		"cep":   must(CEPStream(ctx, csr, 0, 1)),

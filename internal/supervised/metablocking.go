@@ -12,9 +12,12 @@ import (
 // NumFeatures is the dimensionality of the per-edge feature vector.
 const NumFeatures = 6
 
-// Features computes the schema-agnostic feature vector of edge e, the
-// feature set of the supervised meta-blocking paper adapted to this
-// graph representation:
+// Features computes the schema-agnostic feature vector of the edge
+// stored at entry p of g (either of its two entries), the feature set of
+// the supervised meta-blocking paper adapted to this graph
+// representation. Every feature is node-local: it reads only the
+// entry's co-occurrence statistics and its endpoints' block counts and
+// degrees.
 //
 //	0: CFIBF  — co-occurrence frequency * inverse block frequency
 //	            (|B_uv| * log(|B|/|B_u|) * log(|B|/|B_v|), i.e. ECBS);
@@ -24,14 +27,17 @@ const NumFeatures = 6
 //	3: |B_uv| — raw co-occurrence count (CBS);
 //	4: NodeDegree(u)+NodeDegree(v), normalized by the number of edges;
 //	5: |B_u|+|B_v|, normalized by the number of blocks.
-func Features(g *graph.Graph, e *graph.Edge, out []float64) []float64 {
+func Features(g *graph.CSR, u, v int32, p int64, out []float64) []float64 {
 	if cap(out) < NumFeatures {
 		out = make([]float64, NumFeatures)
 	}
 	out = out[:NumFeatures]
-	bu := float64(g.BlockCounts[e.U])
-	bv := float64(g.BlockCounts[e.V])
-	common := float64(e.Common)
+	if v < u {
+		u, v = v, u
+	}
+	bu := float64(g.BlockCounts[u])
+	bv := float64(g.BlockCounts[v])
+	common := float64(g.Common[p])
 	total := float64(g.TotalBlocks)
 
 	logf := func(x float64) float64 {
@@ -41,7 +47,7 @@ func Features(g *graph.Graph, e *graph.Edge, out []float64) []float64 {
 		return math.Log(x)
 	}
 	out[0] = common * logf(total/bu) * logf(total/bv)
-	out[1] = e.ARCS
+	out[1] = g.ARCS[p]
 	if d := bu + bv - common; d > 0 {
 		out[2] = common / d
 	} else {
@@ -49,7 +55,7 @@ func Features(g *graph.Graph, e *graph.Edge, out []float64) []float64 {
 	}
 	out[3] = common
 	if ne := float64(g.NumEdges()); ne > 0 {
-		out[4] = (float64(g.Degrees[e.U]) + float64(g.Degrees[e.V])) / ne
+		out[4] = (float64(g.Degree(int(u))) + float64(g.Degree(int(v)))) / ne
 	} else {
 		out[4] = 0
 	}
@@ -89,10 +95,13 @@ type Result struct {
 }
 
 // Run trains on a sample of the ground truth and classifies every edge
-// of the (already built) blocking graph, returning the retained pairs.
-// Edges used for training are classified like any other (the paper's
-// setting evaluates the final block collection as a whole).
-func Run(g *graph.Graph, truth *model.GroundTruth, cfg Config) *Result {
+// of the (already built, resident, stats-carrying) blocking graph,
+// returning the retained pairs. Edges are enumerated through their
+// canonical entries in ascending (u, v) order, which fixes sampling,
+// training and output order. Edges used for training are classified
+// like any other (the paper's setting evaluates the final block
+// collection as a whole).
+func Run(g *graph.CSR, truth *model.GroundTruth, cfg Config) *Result {
 	start := time.Now()
 	if cfg.TrainFraction <= 0 || cfg.TrainFraction > 1 {
 		cfg.TrainFraction = 0.10
@@ -102,22 +111,26 @@ func Run(g *graph.Graph, truth *model.GroundTruth, cfg Config) *Result {
 	}
 	rng := stats.NewRNG(cfg.Seed)
 
-	// Index edges by match/non-match.
+	// Index edges (canonical entry ordinals) by match/non-match.
+	var edges []canonicalEntry
 	var posIdx, negIdx []int
-	for i := range g.Edges {
-		e := &g.Edges[i]
-		if truth.Contains(int(e.U), int(e.V)) {
-			posIdx = append(posIdx, i)
+	g.Canonical(func(u, v int32, p int64) {
+		if truth.Contains(int(u), int(v)) {
+			posIdx = append(posIdx, len(edges))
 		} else {
-			negIdx = append(negIdx, i)
+			negIdx = append(negIdx, len(edges))
 		}
-	}
+		edges = append(edges, canonicalEntry{u, v, p})
+	})
 
 	res := &Result{}
 	if len(posIdx) == 0 || len(negIdx) == 0 {
 		// Degenerate graph: no training signal; retain every edge (the
 		// conservative choice preserves PC).
-		res.Pairs = allPairs(g)
+		res.Pairs = make([]model.IDPair, len(edges))
+		for i, e := range edges {
+			res.Pairs[i] = model.IDPair{U: e.u, V: e.v}
+		}
 		res.Overhead = time.Since(start)
 		return res
 	}
@@ -140,11 +153,11 @@ func Run(g *graph.Graph, truth *model.GroundTruth, cfg Config) *Result {
 	xs := make([][]float64, 0, nPos+nNeg)
 	ys := make([]int, 0, nPos+nNeg)
 	for _, i := range posIdx[:nPos] {
-		xs = append(xs, Features(g, &g.Edges[i], nil))
+		xs = append(xs, Features(g, edges[i].u, edges[i].v, edges[i].p, nil))
 		ys = append(ys, +1)
 	}
 	for _, i := range negIdx[:nNeg] {
-		xs = append(xs, Features(g, &g.Edges[i], nil))
+		xs = append(xs, Features(g, edges[i].u, edges[i].v, edges[i].p, nil))
 		ys = append(ys, -1)
 	}
 	cfg.Train.Seed = cfg.Seed
@@ -152,10 +165,10 @@ func Run(g *graph.Graph, truth *model.GroundTruth, cfg Config) *Result {
 
 	var pairs []model.IDPair
 	buf := make([]float64, NumFeatures)
-	for i := range g.Edges {
-		buf = Features(g, &g.Edges[i], buf)
+	for _, e := range edges {
+		buf = Features(g, e.u, e.v, e.p, buf)
 		if svm.Predict(buf) {
-			pairs = append(pairs, g.Edges[i].Pair())
+			pairs = append(pairs, model.IDPair{U: e.u, V: e.v})
 		}
 	}
 	res.Pairs = pairs
@@ -165,10 +178,9 @@ func Run(g *graph.Graph, truth *model.GroundTruth, cfg Config) *Result {
 	return res
 }
 
-func allPairs(g *graph.Graph) []model.IDPair {
-	out := make([]model.IDPair, len(g.Edges))
-	for i := range g.Edges {
-		out[i] = g.Edges[i].Pair()
-	}
-	return out
+// canonicalEntry is one edge of the graph: its endpoints (u < v) and
+// the position of its canonical entry.
+type canonicalEntry struct {
+	u, v int32
+	p    int64
 }

@@ -1,6 +1,7 @@
 package supervised
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -69,9 +70,9 @@ func TestTrainPanicsOnBadInput(t *testing.T) {
 }
 
 func TestFeaturesPaperExample(t *testing.T) {
-	g := graph.Build(blocking.TokenBlocking(datasets.PaperExample()))
-	e := g.EdgeBetween(0, 2) // p1-p3
-	f := Features(g, e, nil)
+	g := buildCSR(blocking.TokenBlocking(datasets.PaperExample()))
+	p := g.MirrorEntry(2, 0) // p1-p3, from p1's run
+	f := Features(g, 0, 2, p, nil)
 	if len(f) != NumFeatures {
 		t.Fatalf("features len = %d, want %d", len(f), NumFeatures)
 	}
@@ -91,10 +92,18 @@ func TestFeaturesPaperExample(t *testing.T) {
 	}
 	// Buffer reuse.
 	buf := make([]float64, NumFeatures)
-	f2 := Features(g, e, buf)
+	f2 := Features(g, 0, 2, p, buf)
 	for i := range f {
 		if f[i] != f2[i] {
 			t.Error("buffer reuse changed features")
+		}
+	}
+	// Either entry of the edge, in either orientation, yields the same
+	// vector.
+	f3 := Features(g, 2, 0, g.MirrorEntry(0, 2), nil)
+	for i := range f {
+		if f[i] != f3[i] {
+			t.Error("mirror entry changed features")
 		}
 	}
 }
@@ -102,7 +111,7 @@ func TestFeaturesPaperExample(t *testing.T) {
 // syntheticGraph builds a dirty block collection with `n` matching pairs
 // (5 private blocks each) and `n` superfluous pairs (1 shared block
 // each), returning the graph and truth.
-func syntheticGraph(n int) (*graph.Graph, *model.GroundTruth) {
+func syntheticGraph(n int) (*graph.CSR, *model.GroundTruth) {
 	c := &blocking.Collection{Kind: model.Dirty, NumProfiles: 4 * n}
 	truth := model.NewGroundTruth()
 	for i := 0; i < n; i++ {
@@ -120,7 +129,16 @@ func syntheticGraph(n int) (*graph.Graph, *model.GroundTruth) {
 			Key: fmt.Sprintf("s%03d", i), P1: []int32{u, v}, Entropy: 1,
 		})
 	}
-	return graph.Build(c), truth
+	return buildCSR(c), truth
+}
+
+// buildCSR is the serial full build of c.
+func buildCSR(c *blocking.Collection) *graph.CSR {
+	g, err := graph.BuildCSR(context.Background(), c, nil, 1)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 func TestRunSeparatesMatchesFromSuperfluous(t *testing.T) {
@@ -158,7 +176,7 @@ func TestRunDegenerateAllPositives(t *testing.T) {
 	c := &blocking.Collection{Kind: model.Dirty, NumProfiles: 4, Blocks: []blocking.Block{
 		{Key: "a", P1: []int32{0, 1}}, {Key: "b", P1: []int32{2, 3}},
 	}}
-	g := graph.Build(c)
+	g := buildCSR(c)
 	truth := model.NewGroundTruth()
 	truth.Add(0, 1)
 	truth.Add(2, 3)

@@ -100,9 +100,9 @@ func (s Scheme) Name() string {
 }
 
 // Weigher computes single-edge weights for a scheme over fixed
-// graph-level totals. Both the edge-list engine (Scheme.Apply) and the
-// node-centric engine (Scheme.ApplyCSR) funnel every edge through the
-// same Weigher, so the two representations carry bit-identical weights.
+// graph-level totals. Every weighting pass — the resident and spilled
+// ApplyCSR and the incremental index's re-weighting — funnels every
+// edge through a Weigher, so all of them carry bit-identical weights.
 type Weigher struct {
 	scheme         Scheme
 	numEdges       float64
@@ -156,8 +156,7 @@ func (w Weigher) Weight(common, bu, bv, du, dv int32, arcs, entropySum float64) 
 		panic(fmt.Sprintf("weights: unknown kind %d", int(w.scheme.Kind)))
 	}
 	if w.scheme.Entropy {
-		// h(B_uv), 1 when the edge has no recorded entropy mass — the
-		// same convention as Edge.EntropyMean.
+		// h(B_uv), 1 when the edge has no recorded entropy mass.
 		h := 1.0
 		if common != 0 && entropySum != 0 {
 			h = entropySum / commonF
@@ -167,78 +166,43 @@ func (w Weigher) Weight(common, bu, bv, du, dv int32, arcs, entropySum float64) 
 	return out
 }
 
-// Apply computes the weight of every edge of g in place.
-func (s Scheme) Apply(g *graph.Graph) {
-	w := s.Weigher(g.NumEdges(), g.TotalBlocks)
-	for i := range g.Edges {
-		e := &g.Edges[i]
-		e.Weight = w.Weight(e.Common,
-			g.BlockCounts[e.U], g.BlockCounts[e.V],
-			g.Degrees[e.U], g.Degrees[e.V],
-			e.ARCS, e.EntropySum)
-	}
-}
-
-// ApplyCSR computes the weight of every adjacency entry of g in place.
-// Each undirected edge is weighted once, from its canonical (u < v)
-// entry, and mirrored into the reverse entry, so per-node passes observe
-// the same value from either endpoint.
+// ApplyCSR computes the weight of every adjacency entry of g in place,
+// on `workers` goroutines over contiguous row ranges (0 = GOMAXPROCS).
+// degrees is the per-node degree vector |v_i| and numEdges the edge
+// count |E|: g.Degrees() and g.NumEdges() for a full CSR, the vectors
+// resolved by the cross-shard aggregate exchange for an owned-rows CSR,
+// whose neighbor degrees are not derivable locally.
 //
-// A spilled graph is weighted through its streaming pass instead: every
-// entry independently, arguments in canonical orientation — the
-// ApplyOwnedCSR argument shows both evaluations are bit-identical. A
-// spilled weighting failure is sticky on the graph (graph.CSR.Err), as
-// all spilled I/O failures are.
-func (s Scheme) ApplyCSR(g *graph.CSR) {
-	w := s.Weigher(g.NumEdges(), g.TotalBlocks)
+// Every entry is weighted independently, with its arguments in
+// canonical (u < v) orientation. Both entries of an edge carry
+// bit-identical co-occurrence statistics, so they get bit-identical
+// weights — whether they are weighted by different workers, or on
+// different shards — and the worker count cannot change a value.
+//
+// A spilled graph is weighted through its streaming pass
+// (graph.CSR.WeighSpilled) with the same per-entry function; a spilled
+// weighting failure is sticky on the graph (graph.CSR.Err), as all
+// spilled I/O failures are.
+func (s Scheme) ApplyCSR(g *graph.CSR, degrees []int32, numEdges, workers int) {
+	w := s.Weigher(numEdges, g.TotalBlocks)
+	weigh := func(u, v int32, common int32, arcs, entropySum float64) float64 {
+		if v < u {
+			u, v = v, u
+		}
+		return w.Weight(common, g.BlockCounts[u], g.BlockCounts[v],
+			degrees[u], degrees[v], arcs, entropySum)
+	}
 	if g.Spilled() {
-		g.WeighSpilled(func(u, v int32, common int32, arcs, entropySum float64) float64 {
-			lo, hi := u, v
-			if hi < lo {
-				lo, hi = hi, lo
-			}
-			return w.Weight(common,
-				g.BlockCounts[lo], g.BlockCounts[hi],
-				int32(g.Degree(int(lo))), int32(g.Degree(int(hi))),
-				arcs, entropySum)
-		})
+		_ = g.WeighSpilled(weigh)
 		return
 	}
-	g.CanonicalMirror(func(u, v int32, p, mp int64) {
-		wt := w.Weight(g.Common[p],
-			g.BlockCounts[u], g.BlockCounts[v],
-			int32(g.Degree(int(u))), int32(g.Degree(int(v))),
-			g.ARCS[p], g.EntropySum[p])
-		g.Weights[p] = wt
-		g.Weights[mp] = wt
-	})
-}
-
-// ApplyOwnedCSR computes the weight of every adjacency entry of an
-// owned-rows CSR (graph.BuildOwnedCSR) in place. g carries full-length
-// Offsets but adjacency runs only for the rows one shard owns, so
-// neighbor degrees are not derivable locally: degrees is the global
-// per-node degree vector and numEdges the global edge count, both
-// resolved by the cross-shard aggregate exchange. Every entry is
-// weighted with its arguments in canonical (u < v) orientation — the
-// same orientation ApplyCSR uses before mirroring — so an edge's two
-// entries, weighted independently on two shards, carry bit-identical
-// values.
-func (s Scheme) ApplyOwnedCSR(g *graph.CSR, degrees []int32, numEdges int) {
-	w := s.Weigher(numEdges, g.TotalBlocks)
-	for u := 0; u < g.NumProfiles; u++ {
-		for p := g.Offsets[u]; p < g.Offsets[u+1]; p++ {
-			v := g.Neighbors[p]
-			lo, hi := int32(u), v
-			if hi < lo {
-				lo, hi = hi, lo
+	g.ForRowRanges(workers, func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			for p := g.Offsets[u]; p < g.Offsets[u+1]; p++ {
+				g.Weights[p] = weigh(int32(u), g.Neighbors[p], g.Common[p], g.ARCS[p], g.EntropySum[p])
 			}
-			g.Weights[p] = w.Weight(g.Common[p],
-				g.BlockCounts[lo], g.BlockCounts[hi],
-				degrees[lo], degrees[hi],
-				g.ARCS[p], g.EntropySum[p])
 		}
-	}
+	})
 }
 
 // safeLog returns log(x) clamped to 0 for x <= 1, keeping the

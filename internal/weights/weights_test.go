@@ -1,6 +1,7 @@
 package weights
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,27 +12,54 @@ import (
 	"blast/internal/stats"
 )
 
-func paperGraph() *graph.Graph {
-	return graph.Build(blocking.TokenBlocking(datasets.PaperExample()))
+// buildCSR is the serial full build of c.
+func buildCSR(c *blocking.Collection) *graph.CSR {
+	g, err := graph.BuildCSR(context.Background(), c, nil, 1)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
-func edge(t *testing.T, g *graph.Graph, u, v int) *graph.Edge {
+func paperGraph() *graph.CSR {
+	return buildCSR(blocking.TokenBlocking(datasets.PaperExample()))
+}
+
+// apply weighs a full CSR serially.
+func apply(s Scheme, g *graph.CSR) { s.ApplyCSR(g, g.Degrees(), g.NumEdges(), 1) }
+
+// weight returns the weight of edge (u, v), failing unless the edge
+// exists and both of its entries carry the same value.
+func weight(t *testing.T, g *graph.CSR, u, v int) float64 {
 	t.Helper()
-	e := g.EdgeBetween(u, v)
-	if e == nil {
+	at := func(a, b int) (float64, bool) {
+		nbr, wts := g.Run(a)
+		for i, j := range nbr {
+			if int(j) == b {
+				return wts[i], true
+			}
+		}
+		return 0, false
+	}
+	w, ok := at(u, v)
+	mw, mok := at(v, u)
+	if !ok || !mok {
 		t.Fatalf("edge (%d,%d) missing", u, v)
 	}
-	return e
+	if w != mw {
+		t.Fatalf("edge (%d,%d): entries carry %v and %v", u, v, w, mw)
+	}
+	return w
 }
 
 func TestCBSMatchesFigure1c(t *testing.T) {
 	g := paperGraph()
-	Scheme{Kind: CBS}.Apply(g)
+	apply(Scheme{Kind: CBS}, g)
 	want := map[[2]int]float64{
 		{0, 2}: 4, {1, 3}: 4, {0, 3}: 3, {1, 2}: 4, {0, 1}: 1, {2, 3}: 1,
 	}
 	for pair, w := range want {
-		if got := edge(t, g, pair[0], pair[1]).Weight; got != w {
+		if got := weight(t, g, pair[0], pair[1]); got != w {
 			t.Errorf("CBS(%v) = %v, want %v", pair, got, w)
 		}
 	}
@@ -39,52 +67,52 @@ func TestCBSMatchesFigure1c(t *testing.T) {
 
 func TestJSKnownValue(t *testing.T) {
 	g := paperGraph()
-	Scheme{Kind: JS}.Apply(g)
+	apply(Scheme{Kind: JS}, g)
 	// p1-p3: |B_uv|=4, |B_u|=6, |B_v|=7 -> 4/(6+7-4) = 4/9.
-	if got := edge(t, g, 0, 2).Weight; math.Abs(got-4.0/9) > 1e-12 {
+	if got := weight(t, g, 0, 2); math.Abs(got-4.0/9) > 1e-12 {
 		t.Errorf("JS(p1,p3) = %v, want 4/9", got)
 	}
 }
 
 func TestECBSKnownValue(t *testing.T) {
 	g := paperGraph()
-	Scheme{Kind: ECBS}.Apply(g)
+	apply(Scheme{Kind: ECBS}, g)
 	want := 4 * math.Log(12.0/6) * math.Log(12.0/7)
-	if got := edge(t, g, 0, 2).Weight; math.Abs(got-want) > 1e-12 {
+	if got := weight(t, g, 0, 2); math.Abs(got-want) > 1e-12 {
 		t.Errorf("ECBS(p1,p3) = %v, want %v", got, want)
 	}
 }
 
 func TestARCSUsesAccumulatedMass(t *testing.T) {
 	g := paperGraph()
-	Scheme{Kind: ARCS}.Apply(g)
+	apply(Scheme{Kind: ARCS}, g)
 	want := 3 + 1.0/6 // car, main, jr (1 comparison each) + abram (6)
-	if got := edge(t, g, 0, 2).Weight; math.Abs(got-want) > 1e-12 {
+	if got := weight(t, g, 0, 2); math.Abs(got-want) > 1e-12 {
 		t.Errorf("ARCS(p1,p3) = %v, want %v", got, want)
 	}
 }
 
 func TestEJSDiscountsHighDegree(t *testing.T) {
 	g := paperGraph()
-	Scheme{Kind: EJS}.Apply(g)
+	apply(Scheme{Kind: EJS}, g)
 	// All nodes have degree 3 and |E|=6: factor log(2)^2 on each JS.
 	jsG := paperGraph()
-	Scheme{Kind: JS}.Apply(jsG)
+	apply(Scheme{Kind: JS}, jsG)
 	f := math.Log(2) * math.Log(2)
-	for i := range g.Edges {
-		want := jsG.Edges[i].Weight * f
-		if math.Abs(g.Edges[i].Weight-want) > 1e-12 {
-			t.Errorf("EJS edge %d = %v, want %v", i, g.Edges[i].Weight, want)
+	for p := range g.Weights {
+		want := jsG.Weights[p] * f
+		if math.Abs(g.Weights[p]-want) > 1e-12 {
+			t.Errorf("EJS entry %d = %v, want %v", p, g.Weights[p], want)
 		}
 	}
 }
 
 func TestChiSquaredMatchesContingency(t *testing.T) {
 	g := paperGraph()
-	Scheme{Kind: ChiSquared}.Apply(g)
+	apply(Scheme{Kind: ChiSquared}, g)
 	// p1-p3 contingency (Table 1): common=4, |B_u|=6, |B_v|=7, n=12.
 	want := stats.NewContingency(4, 6, 7, 12).PositiveAssociation()
-	if got := edge(t, g, 0, 2).Weight; math.Abs(got-want) > 1e-12 {
+	if got := weight(t, g, 0, 2); math.Abs(got-want) > 1e-12 {
 		t.Errorf("chi2(p1,p3) = %v, want %v", got, want)
 	}
 	if want <= 0 {
@@ -94,11 +122,11 @@ func TestChiSquaredMatchesContingency(t *testing.T) {
 
 func TestChiSquaredRanksMatchesAboveNonMatches(t *testing.T) {
 	g := paperGraph()
-	Scheme{Kind: ChiSquared}.Apply(g)
-	match1 := edge(t, g, 0, 2).Weight // p1-p3 (true match)
-	match2 := edge(t, g, 1, 3).Weight // p2-p4 (true match)
-	super1 := edge(t, g, 0, 1).Weight // p1-p2
-	super2 := edge(t, g, 2, 3).Weight // p3-p4
+	apply(Scheme{Kind: ChiSquared}, g)
+	match1 := weight(t, g, 0, 2) // p1-p3 (true match)
+	match2 := weight(t, g, 1, 3) // p2-p4 (true match)
+	super1 := weight(t, g, 0, 1) // p1-p2
+	super2 := weight(t, g, 2, 3) // p3-p4
 	if match1 <= super1 || match2 <= super2 {
 		t.Errorf("chi2 should rank matches above superfluous pairs: %v,%v vs %v,%v",
 			match1, match2, super1, super2)
@@ -107,7 +135,7 @@ func TestChiSquaredRanksMatchesAboveNonMatches(t *testing.T) {
 	// superfluous edge: the only positively associated pairs are the
 	// true matches.
 	for _, pair := range [][2]int{{0, 1}, {2, 3}, {0, 3}, {1, 2}} {
-		if w := edge(t, g, pair[0], pair[1]).Weight; w != 0 {
+		if w := weight(t, g, pair[0], pair[1]); w != 0 {
 			t.Errorf("superfluous edge %v has weight %v, want 0", pair, w)
 		}
 	}
@@ -124,14 +152,14 @@ func TestEntropyScaling(t *testing.T) {
 			{Key: "c", P1: []int32{0, 1, 2}, Entropy: 1.0},
 		},
 	}
-	g := graph.Build(c)
-	Scheme{Kind: CBS}.Apply(g)
-	base01 := g.EdgeBetween(0, 1).Weight
-	base23 := g.EdgeBetween(2, 3).Weight
+	g := buildCSR(c)
+	apply(Scheme{Kind: CBS}, g)
+	base01 := weight(t, g, 0, 1)
+	base23 := weight(t, g, 2, 3)
 
-	Scheme{Kind: CBS, Entropy: true}.Apply(g)
-	h01 := g.EdgeBetween(0, 1).Weight
-	h23 := g.EdgeBetween(2, 3).Weight
+	apply(Scheme{Kind: CBS, Entropy: true}, g)
+	h01 := weight(t, g, 0, 1)
+	h23 := weight(t, g, 2, 3)
 
 	// Edge (0,1): blocks a and c -> mean entropy 2.0; (2,3): block b -> 0.5.
 	if math.Abs(h01-base01*2.0) > 1e-12 {
@@ -157,11 +185,10 @@ func TestAllSchemesNonNegativeAndFinite(t *testing.T) {
 	kinds := append(Classic(), ChiSquared)
 	for _, k := range kinds {
 		for _, entropy := range []bool{false, true} {
-			Scheme{Kind: k, Entropy: entropy}.Apply(g)
-			for i := range g.Edges {
-				w := g.Edges[i].Weight
+			apply(Scheme{Kind: k, Entropy: entropy}, g)
+			for p, w := range g.Weights {
 				if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-					t.Errorf("%v entropy=%v edge %d weight %v", k, entropy, i, w)
+					t.Errorf("%v entropy=%v entry %d weight %v", k, entropy, p, w)
 				}
 			}
 		}
@@ -193,7 +220,7 @@ func TestApplyPanicsOnUnknownKind(t *testing.T) {
 		}
 	}()
 	g := paperGraph()
-	Scheme{Kind: Kind(99)}.Apply(g)
+	apply(Scheme{Kind: Kind(99)}, g)
 }
 
 func TestSafeLog(t *testing.T) {

@@ -116,7 +116,7 @@ func (px *partIndex) OverlayStats() (int, float64) { return 0, 0 }
 func (px *partIndex) Export(ctx context.Context) (*shard.Snapshot, error) {
 	c := px.app.Collection()
 	np := c.NumProfiles
-	g, err := graph.BuildOwnedCSR(ctx, c, px.owns, px.opt.Workers)
+	g, err := graph.BuildCSR(ctx, c, px.owns, px.opt.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +140,7 @@ func (px *partIndex) Export(ctx context.Context) (*shard.Snapshot, error) {
 	}
 	numEdges := int(ne / 2)
 
-	px.opt.Scheme.ApplyOwnedCSR(g, degrees, numEdges)
+	px.opt.Scheme.ApplyCSR(g, degrees, numEdges, px.opt.Workers)
 	g.ReleaseStats()
 
 	keep, theta, err := px.keepPredicate(ctx, g, numEdges, owners)

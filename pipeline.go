@@ -172,7 +172,7 @@ func (p *Pipeline) Block(ctx context.Context, ds *model.Dataset, schema *Schema)
 
 // MetaBlock runs Phase 3 (meta-blocking) on a Blocks artifact: the
 // blocking graph is built, weighted and pruned under this pipeline's
-// Scheme/Pruning/Engine settings, so re-running MetaBlock with different
+// Scheme/Pruning settings, so re-running MetaBlock with different
 // pipelines over one Blocks artifact sweeps Phase 3 parameters without
 // recomputing induction or blocking. The returned Result carries the
 // phase timings of the artifacts it consumed.
@@ -196,7 +196,7 @@ func (p *Pipeline) MetaBlock(ctx context.Context, blocks *Blocks) (*Result, erro
 		if ds == nil || ds.Truth == nil {
 			return nil, errors.New("blast: supervised meta-blocking requires a Blocks artifact with a ground truth")
 		}
-		g, err := graph.BuildCtx(ctx, blocks.Collection)
+		g, err := graph.BuildCSR(ctx, blocks.Collection, nil, p.opt.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -235,7 +235,6 @@ func metaConfigFromOptions(o Options) metablocking.Config {
 	return metablocking.Config{
 		Scheme:  o.Scheme,
 		Pruning: o.Pruning,
-		Engine:  o.Engine,
 		C:       o.C,
 		D:       o.D,
 		K:       o.K,

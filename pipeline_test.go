@@ -39,7 +39,6 @@ func TestOptionsValidate(t *testing.T) {
 		"negative workers":    func(o *Options) { o.Workers = -3 },
 		"unknown induction":   func(o *Options) { o.Induction = Induction(42) },
 		"unknown pruning":     func(o *Options) { o.Pruning = metablocking.Pruning(42) },
-		"unknown engine":      func(o *Options) { o.Engine = metablocking.Engine(42) },
 		"lsh zero rows":       func(o *Options) { o.LSH = &LSHOptions{Rows: 0, Bands: 10} },
 		"supervised no train": func(o *Options) { o.Supervised = true; o.TrainFraction = 0 },
 	}
@@ -74,8 +73,8 @@ func assertSamePairs(t *testing.T, label string, want, got []model.IDPair) {
 	}
 }
 
-// TestStagedEquivalenceMatrix: across Induction x Scheme x Pruning x
-// Engine, the staged Pipeline, Index.Pairs() and legacy Run are
+// TestStagedEquivalenceMatrix: across Induction x Scheme x Pruning,
+// the staged Pipeline, Index.Pairs() and legacy Run are
 // byte-identical. Induction and blocking artifacts are computed once per
 // induction setting and reused across the Phase 3 sweep — the workload
 // shape the staged API exists for.
@@ -108,34 +107,31 @@ func TestStagedEquivalenceMatrix(t *testing.T) {
 		}
 		for _, scheme := range schemes {
 			for _, pruning := range prunings {
-				for _, engine := range []metablocking.Engine{metablocking.EdgeList, metablocking.NodeCentric} {
-					label := fmt.Sprintf("%v/%s/%v/%v", ind, scheme.Name(), pruning, engine)
-					opt := base
-					opt.Scheme = scheme
-					opt.Pruning = pruning
-					opt.Engine = engine
-					legacy, err := Run(ds, opt)
-					if err != nil {
-						t.Fatalf("%s: Run: %v", label, err)
-					}
-					p, err := NewPipeline(opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					staged, err := p.MetaBlock(ctx, blocks)
-					if err != nil {
-						t.Fatalf("%s: MetaBlock: %v", label, err)
-					}
-					assertSamePairs(t, label+" staged", legacy.Pairs, staged.Pairs)
-					if legacy.Quality != staged.Quality {
-						t.Errorf("%s: quality differs: %+v vs %+v", label, legacy.Quality, staged.Quality)
-					}
-					ix, err := p.IndexBlocks(ctx, blocks)
-					if err != nil {
-						t.Fatalf("%s: IndexBlocks: %v", label, err)
-					}
-					assertSamePairs(t, label+" index", legacy.Pairs, ix.Pairs())
+				label := fmt.Sprintf("%v/%s/%v", ind, scheme.Name(), pruning)
+				opt := base
+				opt.Scheme = scheme
+				opt.Pruning = pruning
+				legacy, err := Run(ds, opt)
+				if err != nil {
+					t.Fatalf("%s: Run: %v", label, err)
 				}
+				p, err := NewPipeline(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				staged, err := p.MetaBlock(ctx, blocks)
+				if err != nil {
+					t.Fatalf("%s: MetaBlock: %v", label, err)
+				}
+				assertSamePairs(t, label+" staged", legacy.Pairs, staged.Pairs)
+				if legacy.Quality != staged.Quality {
+					t.Errorf("%s: quality differs: %+v vs %+v", label, legacy.Quality, staged.Quality)
+				}
+				ix, err := p.IndexBlocks(ctx, blocks)
+				if err != nil {
+					t.Fatalf("%s: IndexBlocks: %v", label, err)
+				}
+				assertSamePairs(t, label+" index", legacy.Pairs, ix.Pairs())
 			}
 		}
 	}
@@ -158,9 +154,6 @@ func TestStagedEquivalenceRandom(t *testing.T) {
 			metablocking.WEP, metablocking.CEP, metablocking.WNP1, metablocking.WNP2,
 			metablocking.CNP1, metablocking.CNP2, metablocking.BlastWNP,
 		}[rng.Intn(7)]
-		if rng.Intn(2) == 0 {
-			opt.Engine = metablocking.NodeCentric
-		}
 		legacy, err := Run(ds, opt)
 		if err != nil {
 			return false
@@ -394,7 +387,6 @@ func TestPipelineCancellationMidRunNoLeak(t *testing.T) {
 	ds := datasets.AR1(0.1, 6)
 	opt := DefaultOptions()
 	opt.Workers = 4
-	opt.Engine = metablocking.NodeCentric
 	p, err := NewPipeline(opt)
 	if err != nil {
 		t.Fatal(err)

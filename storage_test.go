@@ -25,7 +25,6 @@ import (
 // fileStorageOptions returns opt flipped to file storage with a budget
 // that forces the build to spill from the first page.
 func fileStorageOptions(opt Options) Options {
-	opt.Engine = metablocking.NodeCentric
 	opt.Storage = StorageFile
 	opt.MemoryBudget = 1
 	return opt
@@ -85,7 +84,6 @@ func TestStorageColdDifferentialMatrix(t *testing.T) {
 			memOpt := DefaultOptions()
 			memOpt.Scheme = scheme
 			memOpt.Pruning = pruning
-			memOpt.Engine = metablocking.NodeCentric
 			pMem, err := NewPipeline(memOpt)
 			if err != nil {
 				t.Fatal(err)
@@ -134,7 +132,6 @@ func TestStorageColdDifferentialMatrix(t *testing.T) {
 func TestStorageServerEquivalence(t *testing.T) {
 	ctx := context.Background()
 	memOpt := DefaultOptions()
-	memOpt.Engine = metablocking.NodeCentric
 	pMem, err := NewPipeline(memOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +182,6 @@ func TestStorageInsertMaterializes(t *testing.T) {
 	rng := stats.NewRNG(0xFEED)
 	ds := synthDirty(rng, 50)
 	memOpt := DefaultOptions()
-	memOpt.Engine = metablocking.NodeCentric
 	pMem, err := NewPipeline(memOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +275,6 @@ func TestDurableStorageManifestPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	memOpt := DefaultOptions()
-	memOpt.Engine = metablocking.NodeCentric
 	pMem, err := NewPipeline(memOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -359,11 +354,7 @@ func TestStorageOptionValidation(t *testing.T) {
 			t.Errorf("%s: invalid storage configuration accepted", label)
 		}
 	}
-	reject("edge-list engine", func(o *Options) {
-		o.Storage = StorageFile // default engine is EdgeList
-	})
 	reject("supervised", func(o *Options) {
-		o.Engine = metablocking.NodeCentric
 		o.Storage = StorageFile
 		o.Supervised = true
 	})
