@@ -131,11 +131,62 @@ func TestBuildCSRMatchesBuildOnRandomCollections(t *testing.T) {
 	}
 }
 
+// sameAtWorkers asserts that the full build of c is byte-identical to
+// the serial build at every given worker count.
+func sameAtWorkers(t *testing.T, label string, c *blocking.Collection, workers ...int) {
+	t.Helper()
+	serial := buildCSR(c)
+	for _, w := range workers {
+		par, err := BuildCSR(context.Background(), c, nil, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCSR(t, fmt.Sprintf("%s workers=%d", label, w), serial, par)
+	}
+}
+
+// TestBuildParallelMatchesSerial: on a cleaned clean-clean collection
+// the parallel build equals the serial one at several worker counts.
+func TestBuildParallelMatchesSerial(t *testing.T) {
+	c := blocking.CleanWorkflow(blocking.TokenBlocking(datasets.AR1(0.1, 5)), 0.5, 0.8)
+	sameAtWorkers(t, "ar1", c, 2, 3, 4, 8)
+}
+
+// TestBuildParallelDirty: the same holds on a dirty collection.
+func TestBuildParallelDirty(t *testing.T) {
+	c := blocking.CleanWorkflow(blocking.TokenBlocking(datasets.Census(0.3, 5)), 0.5, 0.8)
+	sameAtWorkers(t, "census", c, 4)
+}
+
+// TestBuildParallelSmallInputFallsBack: worker counts above what the
+// 12-block paper example can shard, the GOMAXPROCS default (0) and one
+// worker all yield the serial build.
+func TestBuildParallelSmallInputFallsBack(t *testing.T) {
+	sameAtWorkers(t, "paper", blocking.TokenBlocking(datasets.PaperExample()), 8, 0, 1)
+}
+
+// TestBuildParallelDeterministic: two parallel builds of the same
+// collection are byte-identical to each other and to the serial build.
+func TestBuildParallelDeterministic(t *testing.T) {
+	c := blocking.CleanWorkflow(blocking.TokenBlocking(datasets.PRD(0.2, 9)), 0.5, 0.8)
+	ctx := context.Background()
+	a, err := BuildCSR(ctx, c, nil, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := BuildCSR(ctx, c, nil, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCSR(t, "prd run 2 vs run 1", a, b)
+	sameCSR(t, "prd parallel vs serial", buildCSR(c), a)
+}
+
 // TestBuildCSRParallelMatchesSerial: the build is byte-identical at
 // every worker count — including the GOMAXPROCS default and counts
-// above what a tiny input can shard, which fall back to one range — and
-// an owned-rows build materializes exactly the selected rows of the
-// full build, with every other run empty.
+// above what a tiny input can shard, which fall back to one range — and an owned-rows build
+// materializes exactly the selected rows of the full build, with every
+// other run empty.
 func TestBuildCSRParallelMatchesSerial(t *testing.T) {
 	rng := stats.NewRNG(7)
 	collections := map[string]*blocking.Collection{
@@ -148,14 +199,8 @@ func TestBuildCSRParallelMatchesSerial(t *testing.T) {
 	}
 	ctx := context.Background()
 	for name, c := range collections {
+		sameAtWorkers(t, name, c, 0, 2, 3, 4, 8)
 		serial := buildCSR(c)
-		for _, workers := range []int{0, 2, 3, 4, 8} {
-			par, err := BuildCSR(ctx, c, nil, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameCSR(t, fmt.Sprintf("%s workers=%d", name, workers), serial, par)
-		}
 		for _, workers := range []int{1, 3} {
 			odd := func(n int32) bool { return n%2 == 1 }
 			owned, err := BuildCSR(ctx, c, odd, workers)

@@ -2,6 +2,8 @@ package prune
 
 import (
 	"context"
+	"fmt"
+	"sort"
 	"testing"
 
 	"blast/internal/blocking"
@@ -33,6 +35,170 @@ func comparePairs(t *testing.T, label string, want, got []model.IDPair) {
 	for i := range want {
 		if want[i] != got[i] {
 			t.Fatalf("%s: pair %d = %v, want %v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// edgeList is the weighted blocking graph as a plain edge list: every
+// canonical edge (u < v) in ascending (u, v) order, with the incident
+// edge indexes of each node listed by ascending neighbor.
+type edgeList struct {
+	n      int
+	edges  []wedge
+	adj    [][]int
+	counts []int32
+}
+
+func edgeListOf(g *graph.CSR) *edgeList {
+	l := &edgeList{n: g.NumProfiles, adj: make([][]int, g.NumProfiles), counts: g.BlockCounts}
+	for u := 0; u < g.NumProfiles; u++ {
+		nbr, wts := g.Run(u)
+		for i, v := range nbr {
+			if int(v) > u {
+				l.edges = append(l.edges, wedge{U: int32(u), V: v, Weight: wts[i]})
+			}
+		}
+	}
+	for i, e := range l.edges {
+		l.adj[e.U] = append(l.adj[e.U], i)
+		l.adj[e.V] = append(l.adj[e.V], i)
+	}
+	return l
+}
+
+// kept lists the edges that keep marks, dropping zero and negative
+// weights, in canonical order.
+func (l *edgeList) kept(keep func(i int, e wedge) bool) []model.IDPair {
+	var out []model.IDPair
+	for i, e := range l.edges {
+		if e.Weight > 0 && keep(i, e) {
+			out = append(out, model.IDPair{U: e.U, V: e.V})
+		}
+	}
+	return out
+}
+
+// nodeThresholds reduces each non-isolated node's incident weights, in
+// ascending neighbor order, to one threshold.
+func (l *edgeList) nodeThresholds(reduce func(ws []float64) float64) []float64 {
+	th := make([]float64, l.n)
+	for n, inc := range l.adj {
+		if len(inc) == 0 {
+			continue
+		}
+		ws := make([]float64, len(inc))
+		for j, i := range inc {
+			ws[j] = l.edges[i].Weight
+		}
+		th[n] = reduce(ws)
+	}
+	return th
+}
+
+func resolveMode(mode Mode, a, b bool) bool {
+	if mode == Reciprocal {
+		return a && b
+	}
+	return a || b
+}
+
+// wep keeps the edges at or above the mean weight; the mean's numerator
+// is summed per smaller-endpoint row and folded by FoldRowSums.
+func (l *edgeList) wep() []model.IDPair {
+	sums := make([]float64, l.n)
+	counts := make([]int64, l.n)
+	for _, e := range l.edges {
+		sums[e.U] += e.Weight
+		counts[e.U]++
+	}
+	total, ne := FoldRowSums(sums, counts)
+	return l.kept(func(_ int, e wedge) bool { return e.Weight >= total/float64(ne) })
+}
+
+func (l *edgeList) cep(k int) []model.IDPair {
+	if k <= 0 {
+		k = CEPBudget(l.counts)
+	}
+	return referenceCEP(l.edges, k)
+}
+
+func (l *edgeList) wnp(mode Mode) []model.IDPair {
+	th := l.nodeThresholds(func(ws []float64) float64 {
+		s := 0.0
+		for _, x := range ws {
+			s += x
+		}
+		return s / float64(len(ws))
+	})
+	return l.kept(func(_ int, e wedge) bool {
+		return resolveMode(mode, e.Weight >= th[e.U], e.Weight >= th[e.V])
+	})
+}
+
+// cnp keeps an edge when it is in the top-k list (stable descending
+// sort over ascending neighbors) of one (Redefined) or both
+// (Reciprocal) endpoints.
+func (l *edgeList) cnp(k int, mode Mode) []model.IDPair {
+	if k <= 0 {
+		k = CNPBudget(l.counts)
+	}
+	top := make([][2]bool, len(l.edges))
+	for n, inc := range l.adj {
+		order := append([]int(nil), inc...)
+		sort.SliceStable(order, func(a, b int) bool { return l.edges[order[a]].Weight > l.edges[order[b]].Weight })
+		for _, i := range order[:min(k, len(order))] {
+			if int(l.edges[i].U) == n {
+				top[i][0] = true
+			} else {
+				top[i][1] = true
+			}
+		}
+	}
+	return l.kept(func(i int, _ wedge) bool { return resolveMode(mode, top[i][0], top[i][1]) })
+}
+
+// blastWNP keeps the edges at or above (theta_u + theta_v) / d, where
+// theta_n is node n's maximum incident weight divided by c.
+func (l *edgeList) blastWNP(c, d float64) []model.IDPair {
+	th := l.nodeThresholds(func(ws []float64) float64 {
+		m := ws[0]
+		for _, x := range ws {
+			m = max(m, x)
+		}
+		return m / c
+	})
+	return l.kept(func(_ int, e wedge) bool { return e.Weight >= (th[e.U]+th[e.V])/d })
+}
+
+// TestStreamMatchesEdgeListOnRandomCollections drives every streaming
+// scheme against its textbook definition over the graph's plain edge
+// list, on random collections of both kinds.
+func TestStreamMatchesEdgeListOnRandomCollections(t *testing.T) {
+	ctx := context.Background()
+	must := muster(t)
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := stats.NewRNG(seed)
+		for _, kind := range []model.Kind{model.Dirty, model.CleanClean} {
+			c := blocking.RandomCollection(rng, kind, 40+rng.Intn(50), 30+rng.Intn(30))
+			for _, s := range []weights.Scheme{
+				{Kind: weights.CBS},
+				{Kind: weights.EJS},
+				{Kind: weights.ChiSquared, Entropy: true},
+			} {
+				csr := weighted(c, s)
+				l := edgeListOf(csr)
+				label := fmt.Sprintf("seed=%d kind=%v %s", seed, kind, s.Name())
+				comparePairs(t, label+" wep", l.wep(), must(WEPStream(ctx, csr, 1)))
+				comparePairs(t, label+" cep", l.cep(0), must(CEPStream(ctx, csr, 0, 1)))
+				comparePairs(t, label+" cep5", l.cep(5), must(CEPStream(ctx, csr, 5, 1)))
+				for _, mode := range []Mode{Redefined, Reciprocal} {
+					comparePairs(t, label+" wnp", l.wnp(mode), must(WNPStream(ctx, csr, mode, 1)))
+					comparePairs(t, label+" cnp", l.cnp(0, mode), must(CNPStream(ctx, csr, 0, mode, 1)))
+					comparePairs(t, label+" cnp2", l.cnp(2, mode), must(CNPStream(ctx, csr, 2, mode, 1)))
+				}
+				comparePairs(t, label+" blast", l.blastWNP(2, 2), must(BlastWNPStream(ctx, csr, 2, 2, 1)))
+				comparePairs(t, label+" blast41", l.blastWNP(4, 1), must(BlastWNPStream(ctx, csr, 4, 1, 1)))
+			}
 		}
 	}
 }
