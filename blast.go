@@ -144,7 +144,7 @@ func (s Storage) String() string {
 }
 
 // ParseStorage maps a storage name ("memory", "file" — the String()
-// forms) back to the enum value, mirroring ParseTopology.
+// forms) back to the enum value, for flag surfaces.
 func ParseStorage(s string) (Storage, error) {
 	for _, st := range []Storage{StorageMemory, StorageFile} {
 		if s == st.String() {
@@ -165,88 +165,32 @@ func (s Storage) Validate() error {
 	}
 }
 
-// Topology selects how a Server's shards divide the index state.
-type Topology int
-
-const (
-	// TopologyReplicated (the zero value) gives every shard a full
-	// writable index replica: write work and memory grow with the shard
-	// count in exchange for read-side parallelism. This is the original
-	// Server behavior and the right trade for read-heavy serving.
-	TopologyReplicated Topology = iota
-	// TopologyPartitioned gives each shard only the adjacency, weights
-	// and retention marks of the rows hash-owned by it. Cross-shard edge
-	// state (degree vectors, weight-sum partials, histogram cuts, top-k
-	// marks) is resolved at publish time by exchanging compact per-shard
-	// aggregates in deterministic shard order, so a quiesced partitioned
-	// server stays byte-identical to the replicated one. Per-shard
-	// graph memory shrinks with the shard count.
-	TopologyPartitioned
-)
-
-// String implements fmt.Stringer.
-func (t Topology) String() string {
-	switch t {
-	case TopologyReplicated:
-		return "replicated"
-	case TopologyPartitioned:
-		return "partitioned"
-	default:
-		return fmt.Sprintf("Topology(%d)", int(t))
-	}
-}
-
-// ParseTopology maps a topology name ("replicated", "partitioned" —
-// the String() forms) back to the enum value. The flag-parsing
-// counterpart of String for cmd/blastserve and friends.
-func ParseTopology(s string) (Topology, error) {
-	for _, t := range []Topology{TopologyReplicated, TopologyPartitioned} {
-		if s == t.String() {
-			return t, nil
-		}
-	}
-	return 0, fmt.Errorf("blast: unknown topology %q: valid names are %q and %q",
-		s, TopologyReplicated, TopologyPartitioned)
-}
-
-// Validate rejects unknown topology values with a descriptive error.
-func (t Topology) Validate() error {
-	switch t {
-	case TopologyReplicated, TopologyPartitioned:
-		return nil
-	default:
-		return fmt.Errorf("blast: unknown %v: valid topologies are TopologyReplicated (0, full replica per shard) and TopologyPartitioned (1, per-shard row ownership)", t)
-	}
-}
-
 // ServerOptions configures a sharded snapshot-swap Server (see
-// Pipeline.Serve). The zero value is valid: one replicated shard,
-// default swap cadence.
+// Pipeline.Serve). The zero value is valid: one shard, default swap
+// cadence.
 type ServerOptions struct {
-	// Shards is the number of shard workers. Under TopologyReplicated
-	// each shard owns a writable Index replica on its write path and
-	// serves reads for the profiles hash-sharded to it from an immutable
-	// published snapshot; 0 selects 1. Under TopologyPartitioned each
-	// shard owns only its rows' graph state. Replication multiplies
-	// write work and memory by the shard count in exchange for read-side
-	// parallelism; partitioning divides graph memory across shards
-	// instead.
+	// Shards is the number of shard workers. Each shard owns the rows
+	// whose profile ids hash onto it: their adjacency, weights and
+	// retention marks, published as an immutable read snapshot. Every
+	// shard also holds the (compact) block collection, so graph memory
+	// divides across shards while collection memory does not. 0 selects
+	// 1.
 	Shards int
-	// Topology selects replicated (zero value) or partitioned shards.
-	Topology Topology
 	// SwapOps publishes a fresh read snapshot after this many streamed
 	// profiles have been applied on a shard since its last publication.
-	// 0 selects 256; negative disables the op-count trigger, leaving
-	// swaps to the overlay trigger (Options.Compaction) and Quiesce.
+	// 0 selects 256; negative disables the op-count trigger, so swaps
+	// happen only at Quiesce (and at Close's final drain).
 	SwapOps int
 
 	// Dir, when non-empty, makes the server durable: every admitted
 	// InsertAll batch is appended to a per-shard write-ahead log under
-	// Dir before ids are returned, published snapshots are persisted on
-	// the SnapshotEvery policy, and ServeBlocks on an existing Dir
-	// recovers — newest valid snapshot per shard, WAL suffix replayed,
-	// torn tails truncated — to a state byte-identical to a cold
-	// IndexBlocks over seed + replayed inserts. The seed Blocks artifact
+	// Dir before ids are returned (each shard's log takes the profiles
+	// it owns), published snapshots are persisted on the SnapshotEvery
+	// policy, and ServeBlocks on an existing Dir recovers — torn tails
+	// truncated, the WAL replayed into every shard's collection, then an
+	// at-cut snapshot set adopted or the shards' own exports rerun — to
+	// a state byte-identical to a cold IndexBlocks over seed + replayed
+	// inserts. The seed Blocks artifact
 	// is NOT persisted; reopening requires the same artifact (a manifest
 	// records its fingerprint and fails closed on mismatch). Empty
 	// disables durability entirely.
@@ -264,20 +208,17 @@ type ServerOptions struct {
 	SnapshotEvery int
 }
 
-// maxServerShards bounds the shard count: under either topology every
-// shard runs its own write path and holds the full block collection (a
-// replicated shard also a full index replica, a partitioned shard a
-// seat in every aggregate exchange round), so triple-digit counts are a
-// configuration error long before they are a scaling strategy.
+// maxServerShards bounds the shard count: every shard runs its own
+// write path, holds the full block collection and takes a seat in every
+// aggregate exchange round, so triple-digit counts are a configuration
+// error long before they are a scaling strategy. (The cap also lets a
+// byte name a row's owner.)
 const maxServerShards = 256
 
 // Validate checks the server options, mirroring Options.Validate.
 func (so ServerOptions) Validate() error {
 	if so.Shards < 0 || so.Shards > maxServerShards {
 		return fmt.Errorf("blast: Shards = %d outside [0, %d] (0 selects 1; every shard holds the full block collection)", so.Shards, maxServerShards)
-	}
-	if err := so.Topology.Validate(); err != nil {
-		return err
 	}
 	if so.Dir == "" && (so.SyncEvery != 0 || so.SnapshotEvery != 0) {
 		return fmt.Errorf("blast: SyncEvery/SnapshotEvery = %d/%d without Dir: durability knobs need a durable directory", so.SyncEvery, so.SnapshotEvery)
@@ -419,7 +360,9 @@ type Options struct {
 	// meta-blocking and index builds: StorageMemory (default) keeps it
 	// resident, StorageFile spills it to segment files past MemoryBudget
 	// and serves passes through a bounded page cache. Byte-identical
-	// output either way. StorageFile does not apply to Supervised runs.
+	// output either way. StorageFile does not apply to Supervised runs,
+	// nor to a Server: its shards build only their owned rows, always
+	// resident (the durable manifest still pins the setting).
 	Storage Storage
 	// MemoryBudget bounds (in bytes) the resident footprint of the
 	// adjacency entries a StorageFile build may accumulate before
@@ -431,14 +374,14 @@ type Options struct {
 	MemoryBudget int64
 	// SpillDir is the directory StorageFile segment files are created
 	// under (a fresh subdirectory per build, removed when the graph is
-	// closed). Empty selects the OS temp dir — or, on a durable Server,
-	// a "spill" directory next to the WAL so segments live on the same
-	// filesystem as the rest of the state. Ignored under StorageMemory.
+	// closed). Empty selects the OS temp dir. Ignored under
+	// StorageMemory.
 	SpillDir string
 
 	// Compaction tunes the overlay-compaction policy of a mutable Index
 	// (see Index.Insert). The zero value selects the defaults; it is
-	// ignored by the batch pipeline.
+	// ignored by the batch pipeline and by a Server, whose shards hold no
+	// overlay and publish on the ServerOptions.SwapOps cadence.
 	Compaction Compaction
 
 	// Progress, when non-nil, observes pipeline execution: it is invoked
@@ -518,18 +461,12 @@ func (o Options) Validate() error {
 }
 
 // spillOptions maps the public storage knobs onto the graph builder's
-// spill configuration, nil when storage is resident. dir, when
-// non-empty, overrides an unset SpillDir (the durable Server points it
-// next to the WAL).
-func (o *Options) spillOptions(dir string) *graph.SpillOptions {
+// spill configuration, nil when storage is resident.
+func (o *Options) spillOptions() *graph.SpillOptions {
 	if o.Storage != StorageFile {
 		return nil
 	}
-	d := o.SpillDir
-	if d == "" {
-		d = dir
-	}
-	return &graph.SpillOptions{Dir: d, MemoryBudget: o.MemoryBudget}
+	return &graph.SpillOptions{Dir: o.SpillDir, MemoryBudget: o.MemoryBudget}
 }
 
 // progress reports a completed phase to the Progress observer, if any.

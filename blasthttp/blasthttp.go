@@ -240,12 +240,11 @@ type QuiesceResponse struct {
 	Published int `json:"published"`
 }
 
-// StatszResponse is the body of GET /statsz. Topology names the shard
-// topology and Storage the graph storage mode builds run under; the
-// per-shard entries carry the owned-rows and resident-bytes counters
-// that make the partitioned memory claim observable per process.
+// StatszResponse is the body of GET /statsz. Storage names the graph
+// storage mode the server was configured with; the per-shard entries
+// carry the owned-rows and resident-bytes counters that make the
+// per-shard memory split observable per process.
 type StatszResponse struct {
-	Topology  string        `json:"topology"`
 	Storage   string        `json:"storage"`
 	Admitted  int           `json:"admitted"`
 	Published int           `json:"published"`
@@ -504,7 +503,6 @@ func (h *Handler) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (h *Handler) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 	h.writeValue(w, StatszResponse{
-		Topology:  h.srv.Topology().String(),
 		Storage:   h.srv.Storage().String(),
 		Admitted:  h.srv.Admitted(),
 		Published: h.srv.NumProfiles(),

@@ -524,58 +524,50 @@ func TestGoroutineLeak(t *testing.T) {
 	}
 }
 
-// TestStatszTopology: /statsz names the serving topology and carries
-// the per-shard residency counters — under partitioning the owned rows
-// must partition the profile space instead of replicating it.
+// TestStatszTopology: /statsz carries the per-shard residency counters,
+// and the owned rows partition the profile space instead of replicating
+// it.
 func TestStatszTopology(t *testing.T) {
-	for _, topo := range []blast.Topology{blast.TopologyReplicated, blast.TopologyPartitioned} {
-		t.Run(topo.String(), func(t *testing.T) {
-			p, err := blast.NewPipeline(blast.DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv, err := p.Serve(context.Background(), testDataset(stats.NewRNG(7), 40),
-				blast.ServerOptions{Shards: 2, Topology: topo, SwapOps: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			h := NewHandler(srv, Options{})
-			defer h.Close()
-			ts := httptest.NewServer(h)
-			defer ts.Close()
-			resp, body := getBody(t, ts.Client(), ts.URL+"/statsz")
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("statsz status %d", resp.StatusCode)
-			}
-			var st StatszResponse
-			if err := json.Unmarshal(body, &st); err != nil {
-				t.Fatalf("statsz body: %v", err)
-			}
-			if st.Topology != topo.String() {
-				t.Fatalf("statsz topology %q, want %q", st.Topology, topo)
-			}
-			if st.Storage != blast.StorageMemory.String() {
-				t.Fatalf("statsz storage %q, want %q", st.Storage, blast.StorageMemory)
-			}
-			if len(st.Shards) != 2 {
-				t.Fatalf("statsz reports %d shards", len(st.Shards))
-			}
-			owned := 0
-			for _, sh := range st.Shards {
-				if sh.ResidentBytes <= 0 {
-					t.Fatalf("shard %d reports %d resident bytes", sh.ID, sh.ResidentBytes)
-				}
-				owned += sh.OwnedRows
-			}
-			want := 2 * 40
-			if topo == blast.TopologyPartitioned {
-				want = 40
-			}
-			if owned != want {
-				t.Fatalf("%v: owned rows sum to %d, want %d", topo, owned, want)
-			}
-		})
+	p, err := blast.NewPipeline(blast.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := p.Serve(context.Background(), testDataset(stats.NewRNG(7), 40),
+		blast.ServerOptions{Shards: 2, SwapOps: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := NewHandler(srv, Options{})
+	defer h.Close()
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	resp, body := getBody(t, ts.Client(), ts.URL+"/statsz")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("statsz status %d", resp.StatusCode)
+	}
+	var st StatszResponse
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatalf("statsz body: %v", err)
+	}
+	if bytes.Contains(body, []byte(`"topology"`)) {
+		t.Fatalf("statsz still reports the retired topology field: %s", body)
+	}
+	if st.Storage != blast.StorageMemory.String() {
+		t.Fatalf("statsz storage %q, want %q", st.Storage, blast.StorageMemory)
+	}
+	if len(st.Shards) != 2 {
+		t.Fatalf("statsz reports %d shards", len(st.Shards))
+	}
+	owned := 0
+	for _, sh := range st.Shards {
+		if sh.ResidentBytes <= 0 {
+			t.Fatalf("shard %d reports %d resident bytes", sh.ID, sh.ResidentBytes)
+		}
+		owned += sh.OwnedRows
+	}
+	if owned != 40 {
+		t.Fatalf("owned rows sum to %d, want 40", owned)
 	}
 }
 

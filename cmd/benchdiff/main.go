@@ -41,13 +41,13 @@
 //     -max-spill-heap (default 0.5) of its resident twin — a spilled
 //     build whose heap tracks the resident one is not actually serving
 //     beyond RAM.
-//   - partition: per-cell (dataset/topology/shards) write throughput
-//     must not shrink more than threshold; every current row must
-//     report PairsMatch=true; and the partitioned topology's per-shard
-//     resident memory at the largest shard count must come in at or
-//     under -max-partition-mem (default 0.6) of its 1-shard row —
-//     partitioned shards own disjoint row slices, so flat per-shard
-//     memory means the partitioning is not actually partitioning. The
+//   - partition: per-cell (dataset/shards) write throughput must not
+//     shrink more than threshold; every current row must report
+//     PairsMatch=true; and the per-shard resident memory at the largest
+//     shard count must come in at or under -max-partition-mem (default
+//     0.6) of its 1-shard row — shards own disjoint row slices, so flat
+//     per-shard memory means the partitioning is not actually
+//     partitioning. The
 //     memory ceiling is only enforced when the artifact's host has at
 //     least -min-scaling-procs CPUs, keeping the gate on the same
 //     runner class as the other structural floors.
@@ -475,10 +475,10 @@ func run(w io.Writer, baseDir, curDir string, threshold, minScaling, minPrune, m
 	}
 
 	// partition: per-cell write throughput vs baseline, the differential
-	// flag, and the partitioned per-shard memory ceiling over the
-	// current run alone — a partitioned topology whose per-shard memory
-	// does not shrink with the shard count is replicating, not
-	// partitioning, and fails by name even when no baseline exists yet.
+	// flag, and the per-shard memory ceiling over the current run alone —
+	// a server whose per-shard memory does not shrink with the shard
+	// count is replicating, not partitioning, and fails by name even
+	// when no baseline exists yet.
 	basePT, err := loadJSON[experiments.PartitionRow](baseDir, "BENCH_partition.json")
 	if err != nil {
 		return 0, err
@@ -494,7 +494,7 @@ func run(w io.Writer, baseDir, curDir string, threshold, minScaling, minPrune, m
 			return 0, fmt.Errorf("missing current BENCH_partition.json (baseline exists)")
 		}
 		key := func(r experiments.PartitionRow) string {
-			return fmt.Sprintf("%s/%s/shards=%d", r.Dataset, r.Topology, r.Shards)
+			return fmt.Sprintf("%s/shards=%d", r.Dataset, r.Shards)
 		}
 		cur := make(map[string]experiments.PartitionRow, len(curPT))
 		for _, r := range curPT {
@@ -515,18 +515,18 @@ func run(w io.Writer, baseDir, curDir string, threshold, minScaling, minPrune, m
 			r := &curPT[i]
 			if !r.PairsMatch {
 				add(check{
-					metric: fmt.Sprintf("partition/%s/%s/shards=%d match", r.Dataset, r.Topology, r.Shards),
+					metric: fmt.Sprintf("partition/%s/shards=%d match", r.Dataset, r.Shards),
 					ok:     false,
 					note:   "server diverged from the cold rebuild",
 				})
 			}
-			if r.Topology == "partitioned" && (top == nil || r.Shards > top.Shards) {
+			if top == nil || r.Shards > top.Shards {
 				top = r
 			}
 		}
 		switch {
 		case top == nil || top.Shards <= 1:
-			fmt.Fprintln(w, "partition: no multi-shard partitioned row, memory ceiling skipped")
+			fmt.Fprintln(w, "partition: no multi-shard row, memory ceiling skipped")
 		case top.GOMAXPROCS < minProcs:
 			fmt.Fprintf(w, "partition: memory ceiling skipped (GOMAXPROCS %d < %d; gated on the CI runner class)\n", top.GOMAXPROCS, minProcs)
 		default:

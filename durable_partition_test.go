@@ -1,14 +1,19 @@
 package blast
 
-// Durable serving under the partitioned topology: per-shard WALs hold
-// only owned subsets and snapshots only owned rows, yet recovery must
-// land on exactly the state a never-crashed replicated server (and a
-// cold rebuild) would serve, and every reassembly disagreement must
-// fail closed.
+// Durable serving with owned-subset journaling: per-shard WALs hold only
+// owned subsets and snapshots only owned rows, yet recovery must land
+// on exactly the state an independent Index (and a cold rebuild) would
+// serve, every reassembly disagreement must fail closed, and a
+// directory of the retired replicated topology must be refused without
+// touching a byte of it.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,23 +25,12 @@ import (
 	"blast/internal/wal"
 )
 
-// durOpenPart opens a durable partitioned server over dir.
-func durOpenPart(t *testing.T, p *Pipeline, dir string, shards, snapEvery int) (*Server, error) {
-	t.Helper()
-	return p.Serve(context.Background(), durDataset(), ServerOptions{
-		Shards: shards, Topology: TopologyPartitioned, SwapOps: 2,
-		Dir: dir, SnapshotEvery: snapEvery, SyncEvery: 1,
-	})
-}
-
-// TestDurablePartitionedReopenMatrix is the partitioned mirror of
-// TestDurableReopenMatrix: open → stream → close → reopen, two
-// generations deep, across shard counts and snapshot policies.
-// SnapshotEvery 1 lands reopens on the adoption path (a drained Close
-// leaves every shard an at-cut owned snapshot); -1 forces the cold
-// master-rebuild path. The reference pairs come from an independent
-// replicated server, so every checkpoint is also a cross-topology
-// equivalence check.
+// TestDurablePartitionedReopenMatrix extends TestDurableReopenMatrix
+// to four shards: open → stream → close → reopen, two generations deep,
+// across shard counts and snapshot policies. SnapshotEvery 1 lands
+// reopens on the adoption path (a drained Close leaves every shard an
+// at-cut owned snapshot); -1 forces the export path. The reference
+// pairs come from an independent Index fed the same batches.
 func TestDurablePartitionedReopenMatrix(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
@@ -57,7 +51,7 @@ func TestDurablePartitionedReopenMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			sopt := ServerOptions{
-				Shards: tc.shards, Topology: TopologyPartitioned, SwapOps: 2,
+				Shards: tc.shards, SwapOps: 2,
 				Dir: dir, SnapshotEvery: tc.snapEvery, SyncEvery: tc.syncEvery,
 			}
 			srv, err := p.Serve(ctx, durDataset(), sopt)
@@ -77,9 +71,6 @@ func TestDurablePartitionedReopenMatrix(t *testing.T) {
 			srv2, err := p.Serve(ctx, durDataset(), sopt)
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
-			}
-			if got := srv2.Topology(); got != TopologyPartitioned {
-				t.Fatalf("recovered topology %v", got)
 			}
 			checkRecovered(t, label+"/gen1", p, srv2, 3)
 			durInsert(t, srv2, 3, 5)
@@ -101,8 +92,7 @@ func TestDurablePartitionedReopenMatrix(t *testing.T) {
 }
 
 // TestDurablePartitionedTornWAL tears one shard's log tail: the common
-// cut must pull every shard back to the surviving prefix, exactly as in
-// the replicated torn-WAL contract — under partitioning a lost owned
+// cut must pull every shard back to the surviving prefix — a lost owned
 // subset makes the whole batch unrecoverable, never a partial one.
 func TestDurablePartitionedTornWAL(t *testing.T) {
 	p, err := NewPipeline(DefaultOptions())
@@ -113,7 +103,7 @@ func TestDurablePartitionedTornWAL(t *testing.T) {
 	for _, damaged := range []int{0, shards - 1} {
 		t.Run(fmt.Sprintf("shard%d", damaged), func(t *testing.T) {
 			dir := t.TempDir()
-			srv, err := durOpenPart(t, p, dir, shards, -1)
+			srv, err := durOpen(t, p, dir, shards, -1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +119,7 @@ func TestDurablePartitionedTornWAL(t *testing.T) {
 			if err := os.WriteFile(path, raw[:len(raw)-1], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			srv2, err := durOpenPart(t, p, dir, shards, -1)
+			srv2, err := durOpen(t, p, dir, shards, -1)
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
@@ -141,32 +131,92 @@ func TestDurablePartitionedTornWAL(t *testing.T) {
 	}
 }
 
-// TestDurableTopologyMismatch: a directory journals for exactly one
-// topology (the WAL record formats are incompatible), so reopening
-// under the other must be refused by the manifest, in both directions.
+// TestDurableTopologyMismatch builds a directory as the retired
+// replicated topology left it — a manifest without the topology field,
+// plus logs and snapshots — and checks that opening it fails with
+// ErrReplicatedDir and a migration message before anything is opened:
+// every file, including a torn WAL tail an open would truncate, stays
+// byte-identical, and no file or directory is added.
 func TestDurableTopologyMismatch(t *testing.T) {
 	p, err := NewPipeline(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	repDir := durSeedDir(t, p, 2, -1, 1)
-	if _, err := durOpenPart(t, p, repDir, 2, -1); err == nil ||
-		!strings.Contains(err.Error(), "created as") {
-		t.Errorf("replicated dir reopened as partitioned: %v", err)
-	}
-	partDir := t.TempDir()
-	srv, err := durOpenPart(t, p, partDir, 2, -1)
+	const shards = 2
+	dir := durSeedDir(t, p, shards, 1, 2)
+	// The legacy manifest: every field a current one pins, no topology.
+	legacy := map[string]any{}
+	path := filepath.Join(dir, "MANIFEST.json")
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	durInsert(t, srv, 0, 1)
-	if err := srv.Close(); err != nil {
+	if err := json.Unmarshal(raw, &legacy); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := durOpen(t, p, partDir, 2, -1); err == nil ||
-		!strings.Contains(err.Error(), "created as") {
-		t.Errorf("partitioned dir reopened as replicated: %v", err)
+	if legacy["topology"] != "partitioned" {
+		t.Fatalf("new manifests must record the topology: %s", raw)
 	}
+	delete(legacy, "topology")
+	raw, err = json.MarshalIndent(legacy, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A torn tail: any open of this log would truncate it.
+	walPath := filepath.Join(dir, "wal", "shard-001.wal")
+	tail, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(walPath, append(tail, 0xde, 0xad, 0xbe), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := treeBytes(t, dir)
+	_, err = durOpen(t, p, dir, shards, 1)
+	if !errors.Is(err, ErrReplicatedDir) {
+		t.Fatalf("open of a replicated dir = %v, want ErrReplicatedDir", err)
+	}
+	for _, want := range []string{"drain", "previous release", "bootstrap a new directory"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q lacks migration hint %q", err, want)
+		}
+	}
+	after := treeBytes(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("failed open changed the tree: %d entries before, %d after", len(before), len(after))
+	}
+	for name, b := range before {
+		if a, ok := after[name]; !ok || !bytes.Equal(a, b) {
+			t.Errorf("failed open modified %s", name)
+		}
+	}
+}
+
+// treeBytes snapshots every file and directory under root: directories
+// map to nil, files to their bytes.
+func treeBytes(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			out[path+"/"] = nil
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		out[path] = b
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestReassembleOwnedBatches pins the fail-closed reassembly rules on

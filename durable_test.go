@@ -12,11 +12,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"blast/internal/model"
+	"blast/internal/shard"
 	"blast/internal/stats"
 	"blast/internal/wal"
+	"blast/internal/weights"
 )
 
 const durBatchSize = 3
@@ -56,24 +59,20 @@ func durInsert(t *testing.T, srv *Server, from, to int) {
 
 // durReferencePairs computes the expected Pairs of a server holding the
 // seed plus the first nBatches insert batches, via an independent
-// in-memory server.
+// mutable Index fed the same batches.
 func durReferencePairs(t *testing.T, p *Pipeline, nBatches int) []model.IDPair {
 	t.Helper()
 	ctx := context.Background()
-	ref, err := p.Serve(ctx, durDataset(), ServerOptions{Shards: 1})
+	ref, err := p.BuildIndex(ctx, durDataset())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ref.Close()
-	durInsert(t, ref, 0, nBatches)
-	if err := ref.Quiesce(ctx); err != nil {
-		t.Fatal(err)
+	for k := 0; k < nBatches; k++ {
+		if _, err := ref.InsertAll(ctx, durBatchFor(k)); err != nil {
+			t.Fatalf("reference insert batch %d: %v", k, err)
+		}
 	}
-	pairs, err := ref.Pairs(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pairs
+	return ref.Pairs()
 }
 
 // checkRecovered asserts the full recovery contract: the reopened
@@ -236,37 +235,67 @@ func TestDurableTornWAL(t *testing.T) {
 	}
 }
 
-// TestDurableWALDivergenceFailsClosed forges a same-position record that
-// differs between two shards' logs: recovery must refuse to serve
-// rather than guess which history is real.
+// TestDurableWALDivergenceFailsClosed forges shard 0's last owned
+// record so the logs disagree at one position — a different batch
+// length, or a profile journaled by a shard that does not own it:
+// recovery must refuse to serve rather than guess which history is
+// real.
 func TestDurableWALDivergenceFailsClosed(t *testing.T) {
 	p, err := NewPipeline(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := durSeedDir(t, p, 2, -1, 3)
-	path := filepath.Join(dir, "wal", "shard-000.wal")
-	l, _, err := wal.Open(path, 1)
-	if err != nil {
-		t.Fatal(err)
+	const shards, batches = 2, 3
+	last := durBatchFor(batches - 1)
+	base := 40 + (batches-1)*durBatchSize // id of the last batch's first profile
+	foreign := -1
+	for k := range last {
+		if shard.Owner(int32(base+k), shards) != 0 {
+			foreign = k
+			break
+		}
 	}
-	if err := l.Truncate(l.Records() - 1); err != nil {
-		t.Fatal(err)
+	if foreign < 0 {
+		t.Fatal("precondition: shard 1 owns none of the last batch")
 	}
-	if err := l.Append(wal.AppendBatch(nil, durBatchFor(99))); err != nil {
-		t.Fatal(err)
+	forgeries := []struct {
+		name string
+		rec  []byte
+	}{
+		{"batch-length", wal.AppendOwnedBatch(nil, last[:durBatchSize-1], func(k int) bool {
+			return shard.Owner(int32(base+k), shards) == 0
+		})},
+		{"foreign-profile", wal.AppendOwnedBatch(nil, last, func(k int) bool {
+			return k == foreign || shard.Owner(int32(base+k), shards) == 0
+		})},
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := durOpen(t, p, dir, 2, -1); err == nil {
-		t.Fatal("diverged WALs were silently replayed")
+	for _, fg := range forgeries {
+		dir := durSeedDir(t, p, shards, -1, batches)
+		l, _, err := wal.Open(filepath.Join(dir, "wal", "shard-000.wal"), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Truncate(l.Records() - 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Append(fg.rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := durOpen(t, p, dir, shards, -1); err == nil || !strings.Contains(err.Error(), "refusing to replay") {
+			t.Fatalf("%s: diverged WALs were not refused: %v", fg.name, err)
+		}
 	}
 }
 
 // TestDurableSnapshotFallback damages persisted snapshots and checks
-// the fallback ladder: older snapshot, then cold rebuild — never a
-// corrupted state, and never losing WAL-journaled batches.
+// the fallback: a damaged or missing at-cut snapshot on any shard makes
+// recovery skip adoption and rebuild every shard cold from the replayed
+// collection through a fresh export — published strictly above every
+// epoch on disk — never a corrupted state, and never losing
+// WAL-journaled batches. The undamaged control adopts the files as-is.
 func TestDurableSnapshotFallback(t *testing.T) {
 	p, err := NewPipeline(DefaultOptions())
 	if err != nil {
@@ -277,6 +306,7 @@ func TestDurableSnapshotFallback(t *testing.T) {
 		name   string
 		damage func(t *testing.T, sdir string, names []string)
 	}{
+		{"undamaged", nil},
 		{"flip-newest", func(t *testing.T, sdir string, names []string) {
 			path := filepath.Join(sdir, names[len(names)-1])
 			raw, err := os.ReadFile(path)
@@ -309,27 +339,130 @@ func TestDurableSnapshotFallback(t *testing.T) {
 	for _, tc := range mutate {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := durSeedDir(t, p, shards, 1, batches)
+			// want[i] is the epoch shard i must publish on reopen: the
+			// newest file's when adopting, one above every file left on
+			// disk when rebuilding.
+			want := make([]uint64, shards)
 			for i := 0; i < shards; i++ {
 				sdir := filepath.Join(dir, "snap", fmt.Sprintf("shard-%03d", i))
-				entries, err := os.ReadDir(sdir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				names := make([]string, 0, len(entries))
-				for _, e := range entries {
-					names = append(names, e.Name())
-				}
+				names := snapFileNames(sdir)
 				if len(names) == 0 {
 					t.Fatalf("shard %d persisted no snapshots", i)
 				}
-				tc.damage(t, sdir, names)
+				want[i] = snapFileEpoch(names[len(names)-1])
+				if tc.damage != nil {
+					tc.damage(t, sdir, names)
+					want[i] = 1
+					if left := snapFileNames(sdir); len(left) > 0 {
+						want[i] = snapFileEpoch(left[len(left)-1]) + 1
+					}
+				}
 			}
 			srv, err := durOpen(t, p, dir, shards, 1)
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
+			for i, st := range srv.Stats() {
+				if st.Epoch != want[i] {
+					t.Fatalf("shard %d published epoch %d, want %d (damaged: %v)", i, st.Epoch, want[i], tc.damage != nil)
+				}
+			}
 			// The WAL holds every batch regardless of snapshot damage.
 			checkRecovered(t, tc.name, p, srv, batches)
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestExportRestoreRoundTrip pins the recovery primitive — every
+// shard's exported owned-rows snapshot, persisted on Close and adopted
+// on reopen — under the workloads that stress the export hardest: an
+// ARCS-consuming scheme (per-edge block-size sums), the default scheme
+// and ECBS, over several insert/close/reopen cycles. At every cycle the
+// reopened server must have adopted every shard's at-cut snapshot (the
+// published epoch is the persisted one), serve exactly what a cold
+// rebuild serves, and stay writable. A snapshot set past the WAL cut —
+// the state of a foreign, longer prefix — must not be adopted.
+func TestExportRestoreRoundTrip(t *testing.T) {
+	ctx := context.Background()
+	schemes := []weights.Scheme{
+		{Kind: weights.ChiSquared, Entropy: true},
+		{Kind: weights.ARCS, Entropy: true},
+		{Kind: weights.ECBS},
+	}
+	const shards, batch = 2, 4
+	for si, scheme := range schemes {
+		t.Run(scheme.Name(), func(t *testing.T) {
+			rng := stats.NewRNG(uint64(si)*104729 + 0xE5704E)
+			ds := synthDirty(rng, 35)
+			opt := DefaultOptions()
+			opt.Scheme = scheme
+			p, err := NewPipeline(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sopt := ServerOptions{Shards: shards, SwapOps: 2, Dir: t.TempDir(), SnapshotEvery: 1, SyncEvery: 1}
+			srv, err := p.Serve(ctx, ds, sopt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for cycle := 0; cycle < 3; cycle++ {
+				profs := make([]model.Profile, batch)
+				for i := range profs {
+					profs[i] = synthProfile(rng, fmt.Sprintf("c%d-%d", cycle, i))
+				}
+				if _, err := srv.InsertAll(ctx, profs); err != nil {
+					t.Fatalf("cycle %d: %v", cycle, err)
+				}
+				checkServerEquivalence(t, fmt.Sprintf("cycle %d streamed", cycle), p, srv)
+				if err := srv.Close(); err != nil {
+					t.Fatalf("cycle %d: close: %v", cycle, err)
+				}
+				persisted := srv.Stats()
+				if srv, err = p.Serve(ctx, ds, sopt); err != nil {
+					t.Fatalf("cycle %d: reopen: %v", cycle, err)
+				}
+				for i, st := range srv.Stats() {
+					if st.Epoch != persisted[i].Epoch {
+						t.Fatalf("cycle %d: shard %d published epoch %d, want the persisted %d (adopted)",
+							cycle, i, st.Epoch, persisted[i].Epoch)
+					}
+				}
+				if got, want := srv.Admitted(), 35+(cycle+1)*batch; got != want {
+					t.Fatalf("cycle %d: recovered %d profiles, want %d", cycle, got, want)
+				}
+				checkServerEquivalence(t, fmt.Sprintf("cycle %d restored", cycle), p, srv)
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Tear the last record off one log: the cut drops a batch, so
+			// the newest persisted snapshots sit past it and must not be
+			// adopted (the older at-cut files kept beside them may be).
+			path := filepath.Join(sopt.Dir, "wal", "shard-000.wal")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, raw[:len(raw)-1], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			persisted := srv.Stats()
+			if srv, err = p.Serve(ctx, ds, sopt); err != nil {
+				t.Fatalf("reopen after tear: %v", err)
+			}
+			for i, st := range srv.Stats() {
+				if st.Epoch == persisted[i].Epoch {
+					t.Fatalf("shard %d adopted epoch %d from past the WAL cut", i, st.Epoch)
+				}
+			}
+			if got, want := srv.Admitted(), 35+2*batch; got != want {
+				t.Fatalf("torn reopen recovered %d profiles, want %d", got, want)
+			}
+			checkServerEquivalence(t, "torn", p, srv)
 			if err := srv.Close(); err != nil {
 				t.Fatal(err)
 			}

@@ -1,5 +1,5 @@
 // Serving demonstrates the sharded snapshot-swap Server: a product
-// catalog is frozen into two shard replicas, new products stream in
+// catalog is split across two shards by profile id, new products stream in
 // while candidate queries are served wait-free from published
 // snapshots, and a quiesce pins the server to exactly the state a cold
 // rebuild over everything would produce.
@@ -49,8 +49,8 @@ func run() error {
 	}
 	ds := &model.Dataset{Name: "serving", Kind: model.Dirty, E1: catalog, Truth: model.NewGroundTruth()}
 
-	// Two shard workers: each owns a writable Index replica; reads are
-	// hash-routed to the owner's published snapshot. SwapOps: 2 keeps
+	// Two shard workers: each owns the rows whose ids hash onto it;
+	// reads are hash-routed to the owner's published snapshot. SwapOps: 2 keeps
 	// the walkthrough's snapshots visibly fresh; production cadences are
 	// hundreds of inserts per swap.
 	p, err := blast.NewPipeline(blast.DefaultOptions())
@@ -65,8 +65,9 @@ func run() error {
 	fmt.Printf("server: %d shards over %d catalog products\n", srv.NumShards(), srv.NumProfiles())
 
 	// New products arrive while the catalog serves queries. Ids are
-	// admitted immediately; each shard folds the inserts into its
-	// replica and publishes a fresh snapshot at the swap cadence.
+	// admitted immediately; each shard appends the inserts to its copy
+	// of the block collection and publishes a fresh snapshot of its rows
+	// at the swap cadence.
 	arrivals := []model.Profile{
 		product("n1", "Panasonic Lumix TZ5-S", "9 megapixel compact camera 10x zoom silver", "Panasonic"),
 		product("n2", "Sony NWZ-A818 8GB Walkman", "mp3 player bluetooth 8gb black", "Sony"),
@@ -78,8 +79,9 @@ func run() error {
 	}
 	fmt.Printf("admitted %d arrivals as ids %v\n", len(ids), ids)
 
-	// Quiesce: every shard applies the stream, compacts its overlay and
-	// swaps the result in. From here the server answers exactly like a
+	// Quiesce: every shard applies the stream, re-derives its rows
+	// (resolving the global pruning state with its peers) and swaps the
+	// result in. From here the server answers exactly like a
 	// cold rebuild over catalog+arrivals.
 	if err := srv.Quiesce(ctx); err != nil {
 		return err

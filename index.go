@@ -149,14 +149,6 @@ func (p *Pipeline) BuildIndex(ctx context.Context, ds *model.Dataset) (*Index, e
 // its serving footprint); the first Insert re-derives them with one
 // graph pass over the retained collection.
 func (p *Pipeline) IndexBlocks(ctx context.Context, blocks *Blocks) (*Index, error) {
-	return p.indexBlocks(ctx, blocks, false)
-}
-
-// indexBlocks is IndexBlocks with control over the co-occurrence
-// statistics: keepStats retains them on the frozen CSR so that serving
-// replicas (which will certainly mutate) skip the one-off graph rebuild
-// their first Insert would otherwise pay.
-func (p *Pipeline) indexBlocks(ctx context.Context, blocks *Blocks, keepStats bool) (*Index, error) {
 	if p.opt.Supervised {
 		return nil, errSupervisedIndex
 	}
@@ -167,7 +159,7 @@ func (p *Pipeline) indexBlocks(ctx context.Context, blocks *Blocks, keepStats bo
 	c := blocks.Collection
 	var csr *graph.CSR
 	var err error
-	if sp := p.opt.spillOptions(""); sp != nil {
+	if sp := p.opt.spillOptions(); sp != nil {
 		csr, err = graph.BuildCSRSpillCtx(ctx, c, *sp)
 	} else {
 		csr, err = graph.BuildCSR(ctx, c, nil, p.opt.Workers)
@@ -184,9 +176,7 @@ func (p *Pipeline) indexBlocks(ctx context.Context, blocks *Blocks, keepStats bo
 		return nil, err
 	}
 	p.opt.Scheme.ApplyCSR(csr, csr.Degrees(), csr.NumEdges(), p.opt.Workers)
-	if !keepStats {
-		csr.ReleaseStats()
-	}
+	csr.ReleaseStats()
 	if err := ctx.Err(); err != nil {
 		return fail(err)
 	}
@@ -195,13 +185,11 @@ func (p *Pipeline) indexBlocks(ctx context.Context, blocks *Blocks, keepStats bo
 	if err != nil {
 		return fail(err)
 	}
-	if !keepStats {
-		// The pruning dispatch above was the last reader of the per-node
-		// block counts (the CEP/CNP budgets); a query-only index serves
-		// Candidates/Threshold/Pairs without them. The first Insert
-		// re-derives them together with the co-occurrence statistics.
-		csr.ReleaseBlockCounts()
-	}
+	// The pruning dispatch above was the last reader of the per-node
+	// block counts (the CEP/CNP budgets); a query-only index serves
+	// Candidates/Threshold/Pairs without them. The first Insert
+	// re-derives them together with the co-occurrence statistics.
+	csr.ReleaseBlockCounts()
 
 	ix := &Index{
 		kind:            c.Kind,
@@ -593,10 +581,9 @@ func (ix *Index) ensureMutableLocked() error {
 // the adjacency and statistics are rebuilt from the live collection
 // (structurally byte-identical, the same determinism the mutable
 // rebuild above relies on), the frozen weights are read back from the
-// spill's weight segments, and the segment files are deleted. Mutation
-// and snapshot export — everything beyond pure candidate serving —
-// funnel through here: the overlay and the exported snapshot index
-// resident arrays directly. No-op on a resident index.
+// spill's weight segments, and the segment files are deleted. Mutation —
+// everything beyond pure candidate serving — funnels through here: the
+// overlay indexes resident arrays directly. No-op on a resident index.
 func (ix *Index) ensureResidentLocked() error {
 	old := ix.csr
 	if !old.Spilled() {
@@ -615,20 +602,10 @@ func (ix *Index) ensureResidentLocked() error {
 	return old.Close()
 }
 
-// ensureResident is the locked wrapper over ensureResidentLocked, for
-// callers that need a resident index before cloning it (the durable
-// replicated recovery clones the master per shard before any snapshot
-// export would materialize it).
-func (ix *Index) ensureResident() error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.ensureResidentLocked()
-}
-
 // Spilled reports whether the index currently serves its adjacency from
 // spilled segment files (Options.Storage = StorageFile and the build
 // exceeded MemoryBudget). A spilled index materializes transparently on
-// the first Insert or snapshot export.
+// the first Insert.
 func (ix *Index) Spilled() bool {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -639,7 +616,7 @@ func (ix *Index) Spilled() bool {
 // storage: bytes of spill segment data on disk and the page-cache
 // statistics accumulated by candidate serving. Both are zero for a
 // resident index (including a spilled one already materialized by an
-// Insert or a snapshot export).
+// Insert).
 func (ix *Index) StorageStats() (spillBytes int64, cache store.CacheStats) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -648,7 +625,7 @@ func (ix *Index) StorageStats() (spillBytes int64, cache store.CacheStats) {
 
 // Close releases the index's spilled segment files, if any. A resident
 // index needs no Close (it is a no-op there); a spilled one leaks its
-// spill directory until Close, Insert or a snapshot export reclaims it.
+// spill directory until Close or Insert reclaims it.
 // The index must not be used after Close.
 func (ix *Index) Close() error {
 	ix.mu.Lock()
@@ -749,8 +726,8 @@ func (ix *Index) profileKeys(p *model.Profile) []blocking.KeyEntropy {
 }
 
 // tokenizeProfile is the schema tokenization shared by every streaming
-// writer (replicated Index, partitioned partIndex): one implementation
-// so the two topologies assign identical block keys to identical
+// writer (the mutable Index and the Server's shard writers): one
+// implementation so both assign identical block keys to identical
 // profiles.
 func tokenizeProfile(schema *Schema, kind model.Kind, opt *Options, p *model.Profile) []blocking.KeyEntropy {
 	key := schema.keyFunc()
@@ -1088,135 +1065,6 @@ func (ix *Index) rebuildDecisionsLocked() error {
 	ix.retainedEntries = 2 * int64(len(pairs))
 	ix.ov = graph.NewOverlay(csr, retained)
 	return nil
-}
-
-// cloneForServing returns an independent writable replica of a freshly
-// built (never-inserted) index, for the sharded server's
-// one-replica-per-shard layout. The replica shares everything that is
-// immutable from here on — the block collection (cloned lazily by the
-// replica's own first Insert), the schema, and the CSR's structural and
-// co-occurrence arrays, which no code path ever mutates in place — and
-// copies the arrays the insert path writes through the overlay: edge
-// weights, retention marks and thresholds. Cost is O(E), far below a
-// rebuild.
-func (ix *Index) cloneForServing() *Index {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if ix.ov != nil {
-		panic("blast: cloneForServing on an index that has absorbed inserts")
-	}
-	if ix.csr.Spilled() {
-		// Replicas share the master's arrays; a spilled master has none
-		// to share. The server materializes before cloning.
-		panic("blast: cloneForServing on a spilled index")
-	}
-	csr := *ix.csr
-	csr.Weights = slices.Clone(ix.csr.Weights)
-	return &Index{
-		kind:            ix.kind,
-		collection:      ix.collection,
-		schema:          ix.schema,
-		opt:             ix.opt,
-		csr:             &csr,
-		retained:        slices.Clone(ix.retained),
-		theta:           slices.Clone(ix.theta),
-		pairs:           ix.pairs, // replaced, never mutated in place
-		pairsValid:      ix.pairsValid,
-		retainedEntries: ix.retainedEntries,
-		buildTime:       ix.buildTime,
-	}
-}
-
-// restoreIndex reconstructs a writable serving replica from a persisted
-// snapshot plus the admitted insert batches the snapshot covers — the
-// inverse of exportSnapshot, and the core of crash recovery. The
-// expensive decision state (weights, retention, thresholds) comes from
-// the snapshot; only the cheap structural state is recomputed: the
-// batches are re-tokenized and re-appended to a clone of the seed
-// collection (so the appender's block indexes and pending keys match a
-// never-crashed replica exactly) and the CSR is rebuilt from that
-// collection. The rebuild is structurally byte-identical to the CSR the
-// snapshot was compacted from — the same determinism ensureMutableLocked
-// already relies on — which is verified entry for entry before the
-// snapshot's decision arrays are adopted; any drift (a foreign snapshot,
-// a schema change, undetected corruption) fails closed.
-func (p *Pipeline) restoreIndex(ctx context.Context, blocks *Blocks, snap *shard.Snapshot, prefix [][]model.Profile) (*Index, error) {
-	if p.opt.Supervised {
-		return nil, errSupervisedIndex
-	}
-	if blocks == nil || blocks.Collection == nil {
-		return nil, errors.New("blast: restoreIndex requires a non-nil Blocks artifact")
-	}
-	t0 := time.Now()
-	c := blocks.Collection.Clone()
-	ix := &Index{
-		kind:       c.Kind,
-		collection: c,
-		schema:     blocks.Schema,
-		opt:        p.opt,
-	}
-	ix.app = blocking.NewAppender(c)
-	for _, batch := range prefix {
-		for i := range batch {
-			ix.app.Append(ix.profileKeys(&batch[i]))
-			ix.stats.Inserts++
-		}
-	}
-	csr, err := graph.BuildCSR(ctx, c, nil, p.opt.Workers)
-	if err != nil {
-		return nil, err
-	}
-	if csr.NumProfiles != snap.NumProfiles ||
-		!slices.Equal(csr.Offsets, snap.Offsets) ||
-		!slices.Equal(csr.Neighbors, snap.Neighbors) {
-		return nil, errors.New("blast: snapshot does not match the adjacency rebuilt from its collection and batches")
-	}
-	csr.Weights = slices.Clone(snap.Weights)
-	ix.csr = csr
-	ix.retained = slices.Clone(snap.Retained)
-	ix.theta = slices.Clone(snap.Theta)
-	ix.retainedEntries = 2 * int64(snap.RetainedPairs)
-	ix.ov = graph.NewOverlay(csr, ix.retained)
-	ix.buildTime = time.Since(t0)
-	return ix, nil
-}
-
-// exportSnapshot compacts any pending overlay state and publishes an
-// immutable serving view of the index — the snapshot a shard swaps in.
-// The structural arrays (Offsets, Neighbors) are shared with the now
-// flat base CSR: later inserts only ever write base arrays through the
-// overlay's write-through on Weights and the retention mask, both of
-// which are copied here, and every compaction installs fresh arrays
-// rather than mutating the old ones. On cancellation the index is left
-// unchanged (a completed fold is kept; it is observationally neutral).
-func (ix *Index) exportSnapshot(ctx context.Context) (*shard.Snapshot, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	// A snapshot shares the structural arrays with the base CSR; a
-	// spilled index materializes them (and its weights) first.
-	if err := ix.ensureResidentLocked(); err != nil {
-		return nil, err
-	}
-	// Edge-less inserted profiles leave the overlay empty while still
-	// growing the profile count, so staleness is judged on both.
-	if ix.ov != nil && (ix.ov.OverlayEntries() > 0 || ix.ov.NumProfiles() != ix.csr.NumProfiles) {
-		if err := ix.compactLocked(ctx); err != nil {
-			return nil, err
-		}
-	}
-	return &shard.Snapshot{
-		NumProfiles:   ix.csr.NumProfiles,
-		NumEdges:      ix.csr.NumEdges(),
-		RetainedPairs: int(ix.retainedEntries / 2),
-		Offsets:       ix.csr.Offsets,
-		Neighbors:     ix.csr.Neighbors,
-		Weights:       slices.Clone(ix.csr.Weights),
-		Retained:      slices.Clone(ix.retained),
-		Theta:         slices.Clone(ix.theta),
-	}, nil
 }
 
 // compactLocked folds the overlay into a fresh flat base, preserving

@@ -11,38 +11,24 @@ import (
 	"blast/internal/model"
 )
 
-// Writer is the mutable side of a shard: a writable index that absorbs
-// insert batches and can export an immutable serving snapshot of its
-// current state (compacting its overlay in the process). Only the
-// shard's worker goroutine ever calls these methods, so implementations
-// need no locking beyond their own invariants.
+// Writer is the mutable side of a shard: it absorbs insert batches and
+// can export an immutable serving snapshot of its current state. Only
+// the shard's worker goroutine ever calls these methods, so
+// implementations need no locking beyond their own invariants.
 type Writer interface {
-	// InsertAll appends a batch of profiles and folds them into the
-	// writable index.
+	// InsertAll appends a batch of profiles to the writer's state.
 	InsertAll(ctx context.Context, profiles []model.Profile) ([]int, error)
-	// Export compacts pending overlay state and returns an immutable
-	// snapshot of the index. The returned snapshot's Epoch is assigned
-	// by the shard.
+	// Export returns an immutable snapshot of the writer's current
+	// state. The returned snapshot's Epoch is assigned by the shard.
 	Export(ctx context.Context) (*Snapshot, error)
-	// OverlayStats reports the entries currently held in the writable
-	// index's copy-on-write overlay and their load relative to the flat
-	// base — the inputs of the overlay-size swap trigger.
-	OverlayStats() (entries int, load float64)
 }
 
 // Options tunes a shard's snapshot-swap policy.
 type Options struct {
 	// SwapOps publishes a fresh snapshot once this many profiles have
 	// been applied since the last publication. <= 0 disables the
-	// op-count trigger.
+	// trigger: the shard then publishes only at barriers and on Close.
 	SwapOps int
-	// MaxOverlayFraction publishes (and thereby compacts) once the
-	// writer's overlay load exceeds this fraction and MinOverlayEntries
-	// is reached. <= 0 disables the overlay trigger.
-	MaxOverlayFraction float64
-	// MinOverlayEntries suppresses the overlay trigger below this many
-	// overlay entries.
-	MinOverlayEntries int
 	// Persist, when non-nil, observes every published snapshot from the
 	// worker goroutine, after the swap — the durability hook. A persist
 	// error is sticky: readers keep the (already swapped) snapshot, but
@@ -51,8 +37,8 @@ type Options struct {
 	// OnFail, when non-nil, is invoked exactly once, from the worker
 	// goroutine and outside the shard lock, at the moment the shard's
 	// sticky error is first set. It is the failure hook of partitioned
-	// serving: a dead partitioned shard can never again contribute its
-	// exchange frames, so the hook poisons the aggregate exchange and the
+	// serving: a dead shard can never again contribute its exchange
+	// frames, so the hook poisons the aggregate exchange and the
 	// sibling exports fail instead of waiting forever.
 	OnFail func(error)
 }
@@ -79,12 +65,11 @@ type Stats struct {
 	// batches (excluding snapshot export).
 	ApplyTime time.Duration
 	// OwnedRows is the number of profile rows resident in the published
-	// snapshot: every row on a replicated shard, only the hash-owned ones
-	// on a partitioned shard.
+	// snapshot: the rows hash-owned by this shard.
 	OwnedRows int
 	// ResidentBytes approximates the heap footprint of the published
-	// snapshot's arrays — the per-shard memory the partitioned topology
-	// divides across shards.
+	// snapshot's arrays — the per-shard memory partitioning divides
+	// across shards.
 	ResidentBytes int64
 }
 
@@ -106,7 +91,7 @@ type op struct {
 // of readers load the current snapshot wait-free. Mailbox enqueues are
 // non-blocking (the queue is unbounded); writes are therefore
 // all-or-nothing across the shards of a server, which is what keeps
-// replicas convergent.
+// every shard's collection at the same insert sequence.
 type Shard struct {
 	id  int
 	w   Writer
@@ -131,9 +116,9 @@ type Shard struct {
 	stopped chan struct{}
 }
 
-// New starts a shard worker over a writable index, serving reads from
-// the given initial snapshot (conventionally epoch 0, exported from the
-// index's post-build state).
+// New starts a shard worker over a writer, serving reads from the given
+// initial snapshot (epoch 0 on a fresh server, the recovered state's
+// snapshot after a durable reopen).
 func New(id int, w Writer, initial *Snapshot, opt Options) *Shard {
 	s := &Shard{
 		id:      id,
@@ -273,11 +258,11 @@ func (s *Shard) next() (op, bool) {
 	return o, true
 }
 
-// loop is the shard worker: apply, check the swap policy, honor
+// loop is the shard worker: apply, check the swap cadence, honor
 // barriers. Application runs under the background context — once a
 // batch is enqueued on every shard it must be applied on every shard,
-// or replicas would diverge; cancellation governs only the enqueue and
-// wait paths.
+// or the shards' collections would diverge; cancellation governs only
+// the enqueue and wait paths.
 func (s *Shard) loop() {
 	defer close(s.stopped)
 	for {
@@ -301,11 +286,11 @@ func (s *Shard) loop() {
 	}
 }
 
-// apply folds one insert batch into the writable index and publishes if
-// the swap policy fires. A shard that has already failed drops the
-// batch: its writable index may sit in the aftermath of the failed
-// apply, and pretending to continue would publish state the healthy
-// shards never converge with.
+// apply folds one insert batch into the writer and publishes if the
+// swap cadence fires. A shard that has already failed drops the batch:
+// its writer may sit in the aftermath of the failed apply, and
+// pretending to continue would publish state the healthy shards never
+// converge with.
 func (s *Shard) apply(profiles []model.Profile) {
 	if s.Err() != nil {
 		return
@@ -325,22 +310,9 @@ func (s *Shard) apply(profiles []model.Profile) {
 		return
 	}
 	s.sinceSwap += len(profiles)
-	if s.shouldSwap() {
+	if s.opt.SwapOps > 0 && s.sinceSwap >= s.opt.SwapOps {
 		s.publish()
 	}
-}
-
-// shouldSwap evaluates the publication policy against the profiles
-// applied since the last swap and the writer's overlay load.
-func (s *Shard) shouldSwap() bool {
-	if s.opt.SwapOps > 0 && s.sinceSwap >= s.opt.SwapOps {
-		return true
-	}
-	if s.opt.MaxOverlayFraction > 0 {
-		entries, load := s.w.OverlayStats()
-		return entries >= s.opt.MinOverlayEntries && load > s.opt.MaxOverlayFraction
-	}
-	return false
 }
 
 // publishIfBehind publishes only when unpublished applications exist —

@@ -19,8 +19,6 @@ type fakeWriter struct {
 	mu        sync.Mutex
 	applied   []model.Profile
 	exports   int
-	overlay   int
-	load      float64
 	applyErr  error
 	exportErr error
 	slow      time.Duration
@@ -54,12 +52,6 @@ func (f *fakeWriter) Export(ctx context.Context) (*Snapshot, error) {
 		NumProfiles: len(f.applied),
 		Offsets:     []int64{0, 0},
 	}, nil
-}
-
-func (f *fakeWriter) OverlayStats() (int, float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.overlay, f.load
 }
 
 func (f *fakeWriter) appliedCount() int {
@@ -128,22 +120,6 @@ func TestShardSwapOpsTrigger(t *testing.T) {
 	}
 	if s.Snapshot().NumProfiles != 10 {
 		t.Fatalf("published %d profiles, want 10", s.Snapshot().NumProfiles)
-	}
-}
-
-func TestShardOverlayTrigger(t *testing.T) {
-	w := &fakeWriter{overlay: 100, load: 0.9}
-	s := New(0, w, &Snapshot{}, Options{MaxOverlayFraction: 0.5, MinOverlayEntries: 10})
-	defer s.Close()
-	if err := s.Enqueue(profiles(1)); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && s.Snapshot().Epoch == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	if s.Snapshot().Epoch == 0 {
-		t.Fatal("overlay trigger never published")
 	}
 }
 

@@ -1,14 +1,15 @@
 // Package shard is the machinery of sharded snapshot-swap Index serving:
 // immutable epoch-tagged read snapshots, single-writer shard workers that
-// absorb insert batches and publish fresh snapshots on a compaction
-// policy, hash-based read ownership, and the ordered merge of per-shard
-// candidate-pair streams.
+// absorb insert batches and publish fresh snapshots on a swap cadence,
+// hash-based row ownership, the aggregate exchange partitioned writers
+// resolve graph-global state through, and the ordered merge of
+// per-shard candidate-pair streams.
 //
 // The package is deliberately ignorant of BLAST itself. The writable
-// side of a shard is any Writer (blast.Index in production, a fake in
-// tests); a Snapshot is just the flat per-profile serving arrays a
-// compaction yields. The blast.Server composes shards into the public
-// serving API.
+// side of a shard is any Writer (blast's partitioned writer in
+// production, a fake in tests); a Snapshot is just the flat per-profile
+// serving arrays an export yields. The blast.Server composes shards into
+// the public serving API.
 //
 // Concurrency model: one worker goroutine per shard owns all mutation of
 // its Writer; readers only ever touch the shard's current Snapshot,
@@ -70,7 +71,7 @@ type Snapshot struct {
 	// insert stream: the number of admitted insert batches it covers.
 	// Every shard of a server applies the same batch sequence in the
 	// same order, so two snapshots from different shards with equal
-	// Batches were derived from identical replica states — the
+	// Batches were exported from identical collection states — the
 	// cross-shard consistency token of multi-shard reads — and on disk
 	// it is the WAL replay cursor: recovery restores the snapshot and
 	// replays exactly the records past this count.
@@ -96,24 +97,24 @@ type Snapshot struct {
 	// PartShards is the shard count of a partitioned snapshot: one whose
 	// adjacency runs are populated only for the rows Owner hashes onto
 	// PartShard, every other row being an empty run. 0 (the zero value)
-	// marks a full replica — every row resident. NumProfiles, NumEdges
+	// marks a full (unpartitioned) snapshot — every row resident. NumProfiles, NumEdges
 	// and RetainedPairs stay GLOBAL under partitioning: a partitioned
 	// snapshot answers point reads for its owned rows with whole-graph
 	// semantics, its owners having resolved the cross-shard aggregates at
 	// export time.
 	PartShards int
 	// PartShard is this snapshot's shard index in [0, PartShards); 0 for
-	// a full replica.
+	// a full snapshot.
 	PartShard int
 }
 
 // Owns reports whether a profile's row is resident in this snapshot:
-// always, for a full replica; by ownership hash, for a partitioned one.
+// always, for a full snapshot; by ownership hash, for a partitioned one.
 func (s *Snapshot) Owns(profile int32) bool {
 	return s.PartShards == 0 || Owner(profile, s.PartShards) == s.PartShard
 }
 
-// OwnedRows counts the resident rows: NumProfiles for a full replica,
+// OwnedRows counts the resident rows: NumProfiles for a full snapshot,
 // the hash-owned subset for a partitioned snapshot.
 func (s *Snapshot) OwnedRows() int {
 	if s.PartShards == 0 {
@@ -129,57 +130,12 @@ func (s *Snapshot) OwnedRows() int {
 }
 
 // ResidentBytes approximates the heap footprint of the snapshot's
-// arrays — the quantity the partitioned topology divides across shards
+// arrays — the quantity partitioning divides across shards
 // (Offsets and Theta stay full-length; the entry arrays shrink with
 // ownership).
 func (s *Snapshot) ResidentBytes() int64 {
 	return int64(len(s.Offsets))*8 + int64(len(s.Neighbors))*4 +
 		int64(len(s.Weights))*8 + int64(len(s.Retained)) + int64(len(s.Theta))*8
-}
-
-// SliceOwned carves shard part's partitioned snapshot out of a full
-// replica snapshot: full-length Offsets with runs copied only for the
-// owned rows, global header counters carried over, Theta shared (it is
-// full-length and immutable under both topologies). It is how a
-// partitioned server derives its shards' initial snapshots from the
-// master build — each slice is byte-identical, row for owned row, to
-// what the shard's own exchange-driven export would produce over the
-// same collection.
-func SliceOwned(s *Snapshot, part, nparts int) *Snapshot {
-	offsets := make([]int64, s.NumProfiles+1)
-	total := int64(0)
-	for u := 0; u < s.NumProfiles; u++ {
-		if Owner(int32(u), nparts) == part {
-			total += s.Offsets[u+1] - s.Offsets[u]
-		}
-		offsets[u+1] = total
-	}
-	neighbors := make([]int32, 0, total)
-	weights := make([]float64, 0, total)
-	retained := make([]bool, 0, total)
-	for u := 0; u < s.NumProfiles; u++ {
-		if Owner(int32(u), nparts) != part {
-			continue
-		}
-		lo, hi := s.Offsets[u], s.Offsets[u+1]
-		neighbors = append(neighbors, s.Neighbors[lo:hi]...)
-		weights = append(weights, s.Weights[lo:hi]...)
-		retained = append(retained, s.Retained[lo:hi]...)
-	}
-	return &Snapshot{
-		Epoch:         s.Epoch,
-		Batches:       s.Batches,
-		NumProfiles:   s.NumProfiles,
-		NumEdges:      s.NumEdges,
-		RetainedPairs: s.RetainedPairs,
-		Offsets:       offsets,
-		Neighbors:     neighbors,
-		Weights:       weights,
-		Retained:      retained,
-		Theta:         s.Theta,
-		PartShards:    nparts,
-		PartShard:     part,
-	}
 }
 
 // Threshold returns theta_i for the threshold-based pruning schemes; 0

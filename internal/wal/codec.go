@@ -1,10 +1,9 @@
 package wal
 
-// The WAL payload codec for insert batches. One record is one admitted
-// InsertAll batch; the encoding is a plain deterministic concatenation
-// (uvarint counts, length-prefixed strings) so identical batches encode
-// to identical bytes on every shard's log — recovery relies on that to
-// cross-check the per-shard logs record for record.
+// The WAL payload codec for insert batches. One record is one shard's
+// owned subset of one admitted InsertAll batch; the encoding is a plain
+// deterministic concatenation (uvarint counts, length-prefixed strings),
+// so a batch always journals to the same bytes.
 
 import (
 	"encoding/binary"
@@ -14,22 +13,12 @@ import (
 	"blast/internal/model"
 )
 
-// AppendBatch encodes a batch of profiles onto dst and returns the
-// extended slice.
-func AppendBatch(dst []byte, batch []model.Profile) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(batch)))
-	for i := range batch {
-		dst = appendProfile(dst, &batch[i])
-	}
-	return dst
-}
-
 // AppendOwnedBatch encodes one shard's owned subset of an admitted
 // batch onto dst: the full batch length (so record counts and batch
 // boundaries stay aligned across shards even when a shard owns nothing
 // of a batch), then the owned profiles each prefixed with its position
-// in the batch, in batch order. Under the partitioned topology every
-// shard journals every batch through this encoding, and recovery
+// in the batch, in batch order. Every shard journals every batch through
+// this encoding, and recovery
 // reassembles the full batch from the per-shard subsets (see
 // DecodeOwnedBatch).
 func AppendOwnedBatch(dst []byte, batch []model.Profile, owns func(index int) bool) []byte {
@@ -68,33 +57,6 @@ func appendString(dst []byte, s string) []byte {
 
 var errTruncatedBatch = errors.New("wal: truncated batch encoding")
 
-// DecodeBatch decodes one batch payload. Every length is bounds-checked
-// against the remaining bytes before any allocation, and trailing bytes
-// are an error, so arbitrary (fuzzed or corrupted) input yields an error
-// rather than a panic or an over-allocation.
-func DecodeBatch(data []byte) ([]model.Profile, error) {
-	n, data, err := decodeUvarint(data)
-	if err != nil {
-		return nil, err
-	}
-	// A profile encodes to at least two bytes (empty id, zero pairs).
-	if n > uint64(len(data)/2)+1 {
-		return nil, fmt.Errorf("wal: batch claims %d profiles in %d bytes", n, len(data))
-	}
-	batch := make([]model.Profile, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var p model.Profile
-		if p, data, err = decodeProfile(data); err != nil {
-			return nil, err
-		}
-		batch = append(batch, p)
-	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("wal: %d trailing bytes after batch", len(data))
-	}
-	return batch, nil
-}
-
 // OwnedEntry is one profile of an admitted batch as journaled by its
 // owning shard: the profile plus its position in the batch.
 type OwnedEntry struct {
@@ -105,9 +67,10 @@ type OwnedEntry struct {
 // DecodeOwnedBatch decodes one owned-subset payload (AppendOwnedBatch):
 // the full batch length and the shard's owned entries. Indices must be
 // strictly increasing and inside the batch — the encoder emits them in
-// batch order, so anything else is corruption — and, as with
-// DecodeBatch, every length is bounds-checked and trailing bytes are an
-// error.
+// batch order, so anything else is corruption. Every length is
+// bounds-checked against the remaining bytes before any allocation, and
+// trailing bytes are an error, so arbitrary (fuzzed or corrupted) input
+// yields an error rather than a panic or an over-allocation.
 func DecodeOwnedBatch(data []byte) (batchLen int, entries []OwnedEntry, err error) {
 	bl, data, err := decodeUvarint(data)
 	if err != nil {

@@ -1,10 +1,10 @@
 package wal
 
-// Fuzz targets of the recovery scan and the batch codec. The property
-// under test is the crash-recovery contract: whatever bytes end up on
-// disk — torn writes, bit rot, arbitrary garbage — recovery yields a
-// byte-identical prefix of the records that were appended, or fails
-// closed. It never panics, never over-allocates, and never invents or
+// Fuzz target of the recovery scan (the batch codec's is
+// FuzzOwnedBatchCodec in codec_owned_test.go). The property under test
+// is the crash-recovery contract: whatever bytes end up on disk — torn
+// writes, bit rot, arbitrary garbage — recovery yields a byte-identical
+// prefix of the records that were appended, or fails closed. It never panics, never over-allocates, and never invents or
 // reorders data.
 
 import (
@@ -105,33 +105,6 @@ func FuzzWALReplay(f *testing.F) {
 			again, _, err := Scan(data[:valid])
 			if err != nil || len(again) != len(recovered) {
 				t.Fatalf("rescan of valid prefix: %d records, err %v", len(again), err)
-			}
-		}
-	})
-}
-
-// FuzzBatchCodec feeds arbitrary bytes to DecodeBatch (must never
-// panic) and round-trips whatever decodes.
-func FuzzBatchCodec(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(AppendBatch(nil, nil))
-	f.Add([]byte{2, 1, 'a', 1, 4, 'n', 'a', 'm', 'e', 2, 'o', 'k', 1, 'b', 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		batch, err := DecodeBatch(data)
-		if err != nil {
-			return
-		}
-		enc := AppendBatch(nil, batch)
-		again, err := DecodeBatch(enc)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if len(again) != len(batch) {
-			t.Fatalf("round trip changed batch size %d -> %d", len(batch), len(again))
-		}
-		for i := range batch {
-			if again[i].ID != batch[i].ID || len(again[i].Pairs) != len(batch[i].Pairs) {
-				t.Fatalf("round trip changed profile %d", i)
 			}
 		}
 	})

@@ -290,6 +290,10 @@ func TestOversizedLengthFieldStopsScan(t *testing.T) {
 	}
 }
 
+// ownsAll journals a whole batch through the owned-subset codec — the
+// encoding a 1-shard server writes.
+func ownsAll(int) bool { return true }
+
 func TestBatchCodecRoundTrip(t *testing.T) {
 	batches := [][]model.Profile{
 		nil,
@@ -302,20 +306,20 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 		},
 	}
 	for i, b := range batches {
-		enc := AppendBatch(nil, b)
-		dec, err := DecodeBatch(enc)
+		enc := AppendOwnedBatch(nil, b, ownsAll)
+		n, dec, err := DecodeOwnedBatch(enc)
 		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
-		if len(dec) != len(b) {
-			t.Fatalf("batch %d: %d profiles, want %d", i, len(dec), len(b))
+		if n != len(b) || len(dec) != len(b) {
+			t.Fatalf("batch %d: %d of %d profiles, want %d", i, len(dec), n, len(b))
 		}
 		for j := range b {
-			if dec[j].ID != b[j].ID || len(dec[j].Pairs) != len(b[j].Pairs) {
+			if dec[j].Index != j || dec[j].Profile.ID != b[j].ID || len(dec[j].Profile.Pairs) != len(b[j].Pairs) {
 				t.Fatalf("batch %d profile %d mismatch: %+v vs %+v", i, j, dec[j], b[j])
 			}
 			for k := range b[j].Pairs {
-				if dec[j].Pairs[k] != b[j].Pairs[k] {
+				if dec[j].Profile.Pairs[k] != b[j].Pairs[k] {
 					t.Fatalf("batch %d profile %d pair %d mismatch", i, j, k)
 				}
 			}
@@ -324,20 +328,20 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 }
 
 func TestDecodeBatchCorruption(t *testing.T) {
-	enc := AppendBatch(nil, []model.Profile{
+	enc := AppendOwnedBatch(nil, []model.Profile{
 		{ID: "p1", Pairs: []model.Pair{{Name: "name", Value: "ellen"}}},
-	})
+	}, ownsAll)
 	// Every strict prefix must fail (the encoding has no optional tail).
 	for cut := 0; cut < len(enc); cut++ {
-		if _, err := DecodeBatch(enc[:cut]); err == nil {
+		if _, _, err := DecodeOwnedBatch(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	if _, err := DecodeBatch(append(append([]byte(nil), enc...), 0)); err == nil {
+	if _, _, err := DecodeOwnedBatch(append(append([]byte(nil), enc...), 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 	// Absurd counts must be rejected before allocation.
-	if _, err := DecodeBatch([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}); err == nil {
+	if _, _, err := DecodeOwnedBatch([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0xff, 0xff, 0xff, 0xff, 0x0f}); err == nil {
 		t.Fatal("absurd profile count accepted")
 	}
 }

@@ -1,11 +1,9 @@
 package blast
 
-// The partitioned topology's shard writer. Where the replicated
-// topology gives every shard a full Index — the whole adjacency,
-// rebuilt decision state, O(replicas × graph) memory — a partIndex owns
-// only the rows that hash onto its shard: it holds the (compact, fully
-// replicated) block collection plus an appender, and materializes
-// nothing else between exports. An export builds the owned-rows CSR
+// The Server's shard writer. A partIndex owns only the rows that hash
+// onto its shard: it holds the (compact, fully replicated) block
+// collection plus an appender, and materializes nothing else between
+// exports. An export builds the owned-rows CSR
 // from the collection and resolves every graph-global pruning input by
 // an all-gather of compact per-shard aggregates over the server's
 // shard.Exchange:
@@ -28,10 +26,10 @@ package blast
 // so all shards run the identical round sequence and the exchange's
 // call-index round matching never misaligns.
 //
-// The correctness contract matches the replicated one bit for bit: a
-// row's run in a partitioned snapshot is byte-identical to the same row
-// of a replicated export at the same batch count, because the refolds
-// above reproduce the exact reduction shapes (chunk order, row order,
+// The correctness contract is the Index's, bit for bit: a row's run in
+// a shard snapshot is byte-identical to the same row of a cold
+// IndexBlocks over the same collection, because the refolds above
+// reproduce the exact reduction shapes (chunk order, row order,
 // adjacency order) of the single-graph streaming schemes.
 
 import (
@@ -47,7 +45,7 @@ import (
 	"blast/internal/shard"
 )
 
-// partIndex is the Writer behind one shard of a partitioned Server.
+// partIndex is the Writer behind one shard of a Server.
 // The shard worker serializes all calls, so it needs no lock of its
 // own.
 type partIndex struct {
@@ -101,18 +99,13 @@ func (px *partIndex) InsertAll(ctx context.Context, profiles []model.Profile) ([
 	return ids, nil
 }
 
-// OverlayStats reports no overlay: a partIndex carries no incremental
-// graph state, so the server's overlay-triggered swap policy never
-// fires for partitioned shards (their compaction cadence is purely
-// SwapOps-driven, identically on every shard).
-func (px *partIndex) OverlayStats() (int, float64) { return 0, 0 }
-
 // Export builds this shard's owned-rows snapshot at the current
 // collection state, running the aggregate-exchange rounds described in
 // the package comment. All participating shards must export
 // concurrently from identical collection states; the server guarantees
-// both (batches are enqueued to all shards atomically, and swaps are
-// SwapOps-aligned).
+// both (batches are enqueued to all shards atomically, swaps are
+// SwapOps-aligned, and construction runs every shard's first export
+// together).
 func (px *partIndex) Export(ctx context.Context) (*shard.Snapshot, error) {
 	c := px.app.Collection()
 	np := c.NumProfiles

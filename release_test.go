@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"testing"
 
-	"blast/internal/model"
 	"blast/internal/stats"
 )
 
@@ -46,8 +45,8 @@ func TestIndexReleasesServingOnlyArrays(t *testing.T) {
 }
 
 // TestInsertAfterBlockCountRelease pins the re-derivation seam: an
-// index whose BlockCounts were released serves the exact same
-// incremental state as one built with statistics kept end to end.
+// index whose BlockCounts were released serves, after inserts, exactly
+// the state a cold IndexBlocks over its live collection serves.
 func TestInsertAfterBlockCountRelease(t *testing.T) {
 	ctx := context.Background()
 	rng := stats.NewRNG(0x5EED)
@@ -63,34 +62,11 @@ func TestInsertAfterBlockCountRelease(t *testing.T) {
 	if released.csr.BlockCounts != nil {
 		t.Fatal("precondition: cold index should have released BlockCounts")
 	}
-	sch, err := p.InduceSchema(ctx, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks, err := p.Block(ctx, ds, sch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept, err := p.indexBlocks(ctx, blocks, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kept.csr.BlockCounts == nil {
-		t.Fatal("precondition: keepStats index should retain BlockCounts")
-	}
-
-	profs := make([]model.Profile, 8)
-	for i := range profs {
-		profs[i] = synthProfile(rng, fmt.Sprintf("rel-%d", i))
-	}
-	for i := range profs {
-		a, b := profs[i], profs[i]
-		if _, err := released.Insert(ctx, &a); err != nil {
+	for i := 0; i < 8; i++ {
+		prof := synthProfile(rng, fmt.Sprintf("rel-%d", i))
+		if _, err := released.Insert(ctx, &prof); err != nil {
 			t.Fatalf("released Insert(%d): %v", i, err)
 		}
-		if _, err := kept.Insert(ctx, &b); err != nil {
-			t.Fatalf("kept Insert(%d): %v", i, err)
-		}
 	}
-	assertSameIndex(t, "released vs kept", kept, released)
+	checkIndexEquivalence(t, "released after inserts", p, released)
 }

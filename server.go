@@ -1,34 +1,37 @@
 package blast
 
-// Sharded snapshot-swap Index serving. A Server scales the mutable
-// Index of incremental meta-blocking (PR 3) to heavy read traffic by
-// separating the write and read paths completely:
+// Sharded snapshot-swap serving. A Server scales the candidate-serving
+// Index to heavy read traffic by separating the write and read paths
+// completely, and divides the graph across shards by node:
 //
-//   - Writes are globally sequenced and broadcast to N shard workers,
-//     each of which owns a writable Index replica and applies every
-//     batch in the same order. Determinism of the insert path makes the
-//     replicas byte-identical, which is what lets ANY shard answer for
-//     any profile and the quiesced server match a cold IndexBlocks over
-//     the union collection exactly.
-//   - Reads never touch a writable index. Each shard publishes an
-//     immutable, epoch-tagged snapshot (the flat CSR + retention mask +
-//     thresholds that Index.Compact yields) and swaps it atomically on
-//     a compaction policy; point reads are hash-routed by profile id to
-//     the owning shard and served wait-free from its snapshot, while
-//     Pairs fans out over all shards — each enumerating only the rows
-//     it owns — and merges the ordered streams.
+//   - Writes are globally sequenced and broadcast to N shard workers.
+//     Every shard appends every batch to its own clone of the (compact)
+//     block collection, so all shards sit at the same insert sequence,
+//     but each owns only the rows whose profile ids hash onto it: BLAST's
+//     pruning is node-centric (theta_i = M_i/c), so a shard's rows need
+//     only the collection plus a few graph-global aggregates, which the
+//     shards resolve together through a deterministic all-gather (the
+//     aggregate exchange, see partition.go).
+//   - Reads never touch a writer. Each shard publishes an immutable,
+//     epoch-tagged snapshot of its owned rows (adjacency, weights,
+//     retention marks, global thresholds) and swaps it atomically on the
+//     SwapOps cadence; point reads are hash-routed by profile id to the
+//     owning shard and served wait-free from its snapshot, while Pairs
+//     fans out over all shards — each enumerating only the rows it owns
+//     — and merges the ordered streams.
 //
 // Consistency contract: a read observes a prefix of each shard's insert
 // sequence (the one its owner had published when the snapshot was
 // swapped in). Quiesce establishes the strongest state — every admitted
-// profile applied, compacted and published on every shard — after which
-// the server's Pairs/Candidates/Threshold are byte-identical to a cold
+// profile applied and published on every shard — after which the
+// server's Pairs/Candidates/Threshold are byte-identical to a cold
 // IndexBlocks over the union collection (enforced by the randomized
-// differential tests in server_test.go).
+// differential tests in server_test.go and server_partition_test.go).
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 
@@ -37,44 +40,27 @@ import (
 	"blast/internal/shard"
 )
 
-// indexWriter adapts a writable Index to the shard.Writer interface.
-type indexWriter struct{ ix *Index }
-
-func (w indexWriter) InsertAll(ctx context.Context, profiles []model.Profile) ([]int, error) {
-	return w.ix.InsertAll(ctx, profiles)
-}
-
-func (w indexWriter) Export(ctx context.Context) (*shard.Snapshot, error) {
-	return w.ix.exportSnapshot(ctx)
-}
-
-func (w indexWriter) OverlayStats() (int, float64) {
-	st := w.ix.Stats()
-	return st.OverlayEntries, st.OverlayLoad
-}
-
-// Server serves candidate queries from hash-sharded snapshot-swap
+// Server serves candidate queries from hash-partitioned snapshot-swap
 // shards while absorbing streamed profile inserts. Construct with
 // Pipeline.Serve or Pipeline.ServeBlocks; always Close a server when
 // done (Close stops the shard workers; reads stay valid afterwards).
 // All methods are safe for concurrent use.
 //
-// The shard state behind the API is selected by ServerOptions.Topology:
-// replicated shards each hold a full writable Index (any shard can
-// answer for any profile), partitioned shards each own only their rows'
-// adjacency and resolve graph-global pruning state through the
-// aggregate exchange (see partition.go). The read API and consistency
-// contract are identical under both.
+// Each shard holds a clone of the block collection and publishes only
+// the rows it owns; graph-global pruning state is resolved at every
+// publication through the shards' shared aggregate exchange. Per-shard
+// graph memory therefore shrinks with the shard count, and a failing
+// shard poisons the exchange: no healthy subset of shards can serve
+// (each shard's rows exist nowhere else), so the server surfaces the
+// failure instead of degrading.
 type Server struct {
-	kind     model.Kind
-	topology Topology
-	storage  Storage
-	shards   []*shard.Shard
-	replicas []*Index         // replicated topology; nil when partitioned
-	parts    []*partIndex     // partitioned topology; nil when replicated
-	schema   *Schema          // partitioned only (replicas carry their own)
-	dur      *durability      // nil unless ServerOptions.Dir was set
-	pers     []*snapPersister // per-shard, nil entries where persistence is off
+	kind    model.Kind
+	storage Storage
+	shards  []*shard.Shard
+	parts   []*partIndex
+	schema  *Schema
+	dur     *durability      // nil unless ServerOptions.Dir was set
+	pers    []*snapPersister // per-shard, nil entries where persistence is off
 
 	mu     sync.Mutex
 	nextID int
@@ -85,6 +71,11 @@ type Server struct {
 // snapshot-swap server over the outcome: InduceSchema, Block, then
 // ServeBlocks.
 func (p *Pipeline) Serve(ctx context.Context, ds *model.Dataset, sopt ServerOptions) (*Server, error) {
+	if p.opt.Supervised {
+		// Fail before the expensive phases: the configuration alone
+		// decides this.
+		return nil, errSupervisedIndex
+	}
 	sch, err := p.InduceSchema(ctx, ds)
 	if err != nil {
 		return nil, err
@@ -96,120 +87,147 @@ func (p *Pipeline) Serve(ctx context.Context, ds *model.Dataset, sopt ServerOpti
 	return p.ServeBlocks(ctx, blocks, sopt)
 }
 
-// ServeBlocks freezes a Blocks artifact into one writable Index per
-// shard (one build plus O(E) clones) and starts the shard workers, each
-// serving reads from an initial epoch-0 snapshot of the build. The
-// artifact itself is never mutated. Replicas swap snapshots over
-// compaction — their internal auto-compaction is disabled and the
-// Options.Compaction knobs instead drive the shard-level overlay swap
-// trigger, so folding the overlay and publishing the result are one
-// event. Options.Workers reaches every replica: the initial build and
-// each replica's pruning re-derivations run on that many goroutines,
-// and because the parallel pruning is byte-deterministic the replicas
-// stay identical at any worker count.
+// ServeBlocks starts a sharded server over a Blocks artifact, which is
+// never mutated. Every shard clones the block collection, replays the
+// recovered insert batches (durable reopen only), and then either
+// adopts a persisted snapshot set at the WAL cut or runs its first
+// export, all shards concurrently over the shared aggregate exchange.
+// No full-graph index is built on the way: each shard builds only its
+// owned rows, always resident (Options.Storage and Options.Compaction do
+// not apply). Options.Workers reaches every shard's build and pruning,
+// which are byte-deterministic at any worker count.
 //
 // With ServerOptions.Dir set the server is durable: admitted batches
 // are journaled to per-shard write-ahead logs before ids are returned,
 // published snapshots are persisted on the SnapshotEvery cadence, and
 // ServeBlocks over an existing directory recovers the pre-crash state
-// (newest usable snapshot per shard plus WAL suffix replay) instead of
-// starting empty. See durable.go for the layout and recovery rules.
+// instead of starting empty. See durable.go for the layout and recovery
+// rules.
 func (p *Pipeline) ServeBlocks(ctx context.Context, blocks *Blocks, sopt ServerOptions) (*Server, error) {
 	if err := sopt.Validate(); err != nil {
 		return nil, err
 	}
+	if p.opt.Supervised {
+		return nil, errSupervisedIndex
+	}
+	if blocks == nil || blocks.Collection == nil {
+		return nil, errors.New("blast: ServeBlocks requires a non-nil Blocks artifact")
+	}
+	rec := &recovery{}
 	if sopt.Dir != "" {
-		return p.serveDurable(ctx, blocks, sopt)
-	}
-	if sopt.Topology == TopologyPartitioned {
-		return p.servePartitioned(ctx, blocks, sopt)
-	}
-	master, err := p.indexBlocks(ctx, blocks, true)
-	if err != nil {
-		return nil, err
-	}
-	initial, err := master.exportSnapshot(ctx)
-	if err != nil {
-		return nil, err
-	}
-	n := sopt.shards()
-	shOpt := p.shardOptions(sopt)
-	srv := &Server{
-		kind:     master.Kind(),
-		storage:  p.opt.Storage,
-		shards:   make([]*shard.Shard, n),
-		replicas: make([]*Index, n),
-		nextID:   master.NumProfiles(),
-	}
-	for i := 0; i < n; i++ {
-		rep := master
-		if i > 0 {
-			rep = master.cloneForServing()
+		var err error
+		if rec, err = openDurable(blocks, p.opt.Storage, sopt); err != nil {
+			return nil, err
 		}
-		rep.opt.Compaction = Compaction{MaxOverlayFraction: -1}
-		srv.replicas[i] = rep
-		srv.shards[i] = shard.New(i, indexWriter{rep}, initial, shOpt)
+	}
+	srv, err := p.startShards(ctx, blocks, sopt, rec)
+	if err != nil {
+		rec.closeLogs()
+		return nil, err
+	}
+	if sopt.Dir != "" {
+		srv.dur = &durability{wals: rec.logs, base: srv.nextID}
 	}
 	return srv, nil
 }
 
-// servePartitioned starts the partitioned topology over a Blocks
-// artifact: one full master build (discarded after its snapshot is
-// sliced), then one partIndex per shard holding a clone of the block
-// collection and an owned-rows slice of the build as its initial
-// snapshot. The shards share one aggregate Exchange; a failing shard
-// poisons it, failing its peers' exports too — under partitioning no
-// healthy subset of shards can serve (each shard's rows exist nowhere
-// else), so the server surfaces the failure instead of degrading.
-func (p *Pipeline) servePartitioned(ctx context.Context, blocks *Blocks, sopt ServerOptions) (*Server, error) {
-	master, err := p.indexBlocks(ctx, blocks, false)
-	if err != nil {
-		return nil, err
-	}
-	full, err := master.exportSnapshot(ctx)
-	if err != nil {
-		return nil, err
-	}
+// startShards builds one partitioned writer per shard, brings each to
+// the recovered insert position, derives the initial published
+// snapshots (adopted from disk or exported over the exchange), and
+// starts the shard workers.
+func (p *Pipeline) startShards(ctx context.Context, blocks *Blocks, sopt ServerOptions, rec *recovery) (*Server, error) {
 	n := sopt.shards()
-	shOpt := p.shardOptions(sopt)
-	// The overlay-fraction swap trigger consults per-shard overlay load,
-	// which could fire shards' publishes at different stream positions;
-	// partitioned exports must stay position-aligned (they exchange
-	// aggregates), so only the deterministic SwapOps cadence may trigger.
-	shOpt.MaxOverlayFraction = 0
+	cut := len(rec.batches)
 	ex := shard.NewExchange(n)
-	shOpt.OnFail = func(err error) { ex.Poison(err) }
 	srv := &Server{
-		kind:     master.Kind(),
-		topology: TopologyPartitioned,
-		storage:  p.opt.Storage,
-		shards:   make([]*shard.Shard, n),
-		parts:    make([]*partIndex, n),
-		schema:   blocks.Schema,
-		nextID:   master.NumProfiles(),
+		kind:    blocks.Collection.Kind,
+		storage: p.opt.Storage,
+		shards:  make([]*shard.Shard, n),
+		parts:   make([]*partIndex, n),
+		pers:    make([]*snapPersister, n),
+		schema:  blocks.Schema,
+		nextID:  blocks.Collection.NumProfiles,
+	}
+	for _, b := range rec.batches {
+		srv.nextID += len(b)
+	}
+
+	// Every shard clones, replays and exports on its own goroutine: the
+	// exports meet in the exchange rounds, so they must run concurrently. A
+	// failing shard poisons the exchange so its peers fail too instead
+	// of waiting for frames that never come.
+	snaps := rec.adopted
+	if snaps == nil {
+		snaps = make([]*shard.Snapshot, n)
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			px := newPartIndex(blocks.Collection.Clone(), blocks.Schema, p.opt, i, n, ex)
+			srv.parts[i] = px
+			errs[i] = func() error {
+				for k, b := range rec.batches {
+					if _, err := px.InsertAll(ctx, b); err != nil {
+						return fmt.Errorf("blast: wal replay, batch %d on shard %d: %w", k, i, err)
+					}
+				}
+				if rec.adopted != nil {
+					return nil
+				}
+				snap, err := px.Export(ctx)
+				snaps[i] = snap
+				return err
+			}()
+			if errs[i] != nil {
+				ex.Poison(errs[i])
+			}
+		}(i)
+	}
+	wg.Wait()
+	if err := firstError(errs); err != nil {
+		return nil, err
+	}
+
+	shOpt := shard.Options{
+		SwapOps: sopt.swapOps(),
+		OnFail:  func(err error) { ex.Poison(err) },
 	}
 	for i := 0; i < n; i++ {
-		px := newPartIndex(blocks.Collection.Clone(), blocks.Schema, p.opt, i, n, ex)
-		srv.parts[i] = px
-		srv.shards[i] = shard.New(i, px, shard.SliceOwned(full, i, n), shOpt)
+		snap := snaps[i]
+		if sopt.Dir != "" && rec.adopted == nil && (rec.maxEpoch[i] > 0 || cut > 0) {
+			// Something was on disk (or was just replayed): publish
+			// strictly above every persisted epoch, at the WAL cut, so
+			// the recovered snapshot can itself be persisted without
+			// clobbering a file a later recovery might still need.
+			//blast:allow snapshotmut -- pre-publication tag of a freshly exported private snapshot; no reader can hold it before shard.New
+			snap.Epoch = rec.maxEpoch[i] + 1
+			//blast:allow snapshotmut -- pre-publication tag of a freshly exported private snapshot; no reader can hold it before shard.New
+			snap.Batches = int64(cut)
+		}
+		if every := sopt.snapshotEvery(); every > 0 {
+			sp := &snapPersister{dir: durSnapDir(sopt.Dir, i), every: every, keep: 2, last: int64(cut)}
+			if rec.adopted == nil && snap.Epoch > 0 {
+				// Rebuilt over a non-fresh directory: persist the
+				// recovered state so the next open adopts it without
+				// replay.
+				if err := sp.persistNow(snap); err != nil {
+					return nil, err
+				}
+			}
+			srv.pers[i] = sp
+		}
+	}
+	for i := 0; i < n; i++ {
+		shOptI := shOpt
+		if sp := srv.pers[i]; sp != nil {
+			shOptI.Persist = sp.persist
+		}
+		srv.shards[i] = shard.New(i, srv.parts[i], snaps[i], shOptI)
 	}
 	return srv, nil
-}
-
-// shardOptions derives the shard worker knobs shared by the in-memory
-// and durable construction paths: the pipeline's Compaction settings
-// drive the shard-level swap trigger, with replica auto-compaction
-// disabled separately by the caller.
-func (p *Pipeline) shardOptions(sopt ServerOptions) shard.Options {
-	shOpt := shard.Options{
-		SwapOps:            sopt.swapOps(),
-		MaxOverlayFraction: p.opt.Compaction.maxFraction(),
-		MinOverlayEntries:  p.opt.Compaction.minEntries(),
-	}
-	if p.opt.Compaction.disabled() {
-		shOpt.MaxOverlayFraction = 0
-	}
-	return shOpt
 }
 
 // NumShards returns the number of shard workers.
@@ -218,14 +236,11 @@ func (s *Server) NumShards() int { return len(s.shards) }
 // Kind returns the ER setting of the served dataset.
 func (s *Server) Kind() model.Kind { return s.kind }
 
-// Topology returns the shard topology the server was started with.
-func (s *Server) Topology() Topology { return s.topology }
-
-// Storage returns the graph storage mode (Options.Storage) the server's
-// index builds run under. Spilled builds are transient — serving state
-// is materialized at publish time — so this reports configuration, not
-// a point-in-time residency; the per-shard ResidentBytes in Stats
-// reports the latter.
+// Storage returns the graph storage mode (Options.Storage) the server
+// was configured with — the setting a durable directory's manifest
+// pins. Shards build their owned rows resident whatever it says, so
+// this reports configuration, not residency; the per-shard
+// ResidentBytes in Stats reports the latter.
 func (s *Server) Storage() Storage { return s.storage }
 
 // Admitted returns the number of profiles the server has accepted:
@@ -293,8 +308,8 @@ func (s *Server) Insert(ctx context.Context, p *model.Profile) (int, error) {
 
 // InsertAll admits a batch of profiles, assigns their global ids in
 // admission order, and broadcasts the batch to every shard worker. The
-// broadcast is all-or-nothing — enqueues never block — so replicas
-// always converge on the same insert sequence; ctx guards only
+// broadcast is all-or-nothing — enqueues never block — so every shard's
+// collection follows the same insert sequence; ctx guards only
 // admission. Ids are returned immediately; application and publication
 // are asynchronous (see the consistency contract in the type docs).
 func (s *Server) InsertAll(ctx context.Context, profiles []model.Profile) ([]int, error) {
@@ -390,8 +405,9 @@ func (s *Server) Epoch(profile int) uint64 {
 
 // consistentSnapshots captures one published snapshot per shard such
 // that all sit at the same position of the global insert sequence
-// (equal Snapshot.Batches — replica determinism then makes them views
-// of one state). A plain per-shard capture does not guarantee this:
+// (equal Snapshot.Batches — the shards then exported together from
+// identical collection states, so the snapshots are views of one
+// state). A plain per-shard capture does not guarantee this:
 // shards publish independently, so a pair of loads can observe shard 0
 // before batch k and shard 1 after it. The capture is retried
 // optimistically a few times (publications are rare relative to reads);
@@ -562,7 +578,7 @@ func (v *View) Epoch(profile int) uint64 {
 }
 
 // Quiesce drives every shard to the strongest consistent state: all
-// admitted batches applied, overlays compacted, snapshots swapped. When
+// admitted batches applied and snapshots swapped. When
 // it returns nil, every read (on any shard) observes every insert
 // admitted before the call. Barriers are placed on all shards at one
 // position of the insert sequence and awaited concurrently; ctx bounds
@@ -583,9 +599,9 @@ func (s *Server) Quiesce(ctx context.Context) error {
 // all, reporting the most meaningful failure (see firstError). The
 // caller must hold s.mu across the call: holding the admission lock
 // through the enqueue phase places every shard's barrier at the SAME
-// position of the global insert sequence — the partitioned topology
-// depends on it (barrier-forced exports run the aggregate exchange, so
-// all shards must export the same collection state), and it is what
+// position of the global insert sequence — the shards depend on it
+// (barrier-forced exports run the aggregate exchange, so all shards
+// must export the same collection state), and it is what
 // makes the post-barrier captures of consistentSnapshots land on one
 // cursor. The waits necessarily also run under the lock; barriers are
 // bounded by shard progress, not by future admissions, so this cannot
@@ -637,25 +653,16 @@ func firstError(errs []error) error {
 
 // Blocks returns the live block collection of the first shard — on a
 // quiesced server, the union collection every shard agrees on. The
-// returned collection must not be modified. On a partitioned server
-// call only after Quiesce (or Close): partitioned writers append to
-// their collections without a read lock, so the caller must not race
-// in-flight batches.
+// returned collection must not be modified. Call only after Quiesce (or
+// Close): shard writers append to their collections without a read
+// lock, so the caller must not race in-flight batches.
 func (s *Server) Blocks() *blocking.Collection {
-	if s.parts != nil {
-		return s.parts[0].app.Collection()
-	}
-	return s.replicas[0].Blocks()
+	return s.parts[0].app.Collection()
 }
 
-// Schema returns the Phase 1 artifact the server's indexes were blocked
-// under (nil for a schema-agnostic run).
-func (s *Server) Schema() *Schema {
-	if s.parts != nil {
-		return s.schema
-	}
-	return s.replicas[0].Schema()
-}
+// Schema returns the Phase 1 artifact the server's shards block
+// inserts under (nil for a schema-agnostic run).
+func (s *Server) Schema() *Schema { return s.schema }
 
 // Close stops the shard workers after they drain every admitted batch,
 // syncs and releases the write-ahead logs of a durable server, and

@@ -1,11 +1,10 @@
 package blast
 
-// Differential tests of the partitioned topology: a quiesced
-// partitioned server must be byte-identical to a replicated server over
-// the same insert sequence AND to a cold IndexBlocks over the union
-// collection, across Scheme x Pruning x shard counts — the partitioned
-// aggregate exchange may not move a single bit. Plus ownership-hash
-// skew, boundary-id churn and View consistency contracts.
+// Differential tests of partitioned serving: a quiesced server must be
+// byte-identical to a cold IndexBlocks over the union collection, across
+// Scheme x Pruning x shard x worker counts — the aggregate exchange may
+// not move a single bit. Plus ownership-hash skew, boundary-id churn and
+// View consistency contracts.
 
 import (
 	"context"
@@ -20,8 +19,7 @@ import (
 )
 
 // TestPartitionedEquivalenceMatrix runs the cold-rebuild contract over
-// Scheme x Pruning with the shard and worker counts cycling, all under
-// the partitioned topology.
+// Scheme x Pruning with the shard and worker counts cycling.
 func TestPartitionedEquivalenceMatrix(t *testing.T) {
 	ctx := context.Background()
 	schemes := []weights.Scheme{
@@ -56,14 +54,9 @@ func TestPartitionedEquivalenceMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv, err := p.Serve(ctx, ds, ServerOptions{
-				Shards: shards, Topology: TopologyPartitioned, SwapOps: 8,
-			})
+			srv, err := p.Serve(ctx, ds, ServerOptions{Shards: shards, SwapOps: 8})
 			if err != nil {
 				t.Fatalf("%s: Serve: %v", label, err)
-			}
-			if got := srv.Topology(); got != TopologyPartitioned {
-				t.Fatalf("%s: Topology = %v", label, got)
 			}
 			streamed := 0
 			for batch := 0; batch < 2; batch++ {
@@ -86,106 +79,6 @@ func TestPartitionedEquivalenceMatrix(t *testing.T) {
 			if err := srv.Close(); err != nil {
 				t.Fatalf("%s: Close: %v", label, err)
 			}
-		}
-	}
-}
-
-// TestPartitionedMatchesReplicated runs the same insert sequence
-// through both topologies and compares every observable directly —
-// pairs, per-profile candidates, thresholds, epoch-independent global
-// counters — plus the partitioned residency accounting.
-func TestPartitionedMatchesReplicated(t *testing.T) {
-	ctx := context.Background()
-	for _, shards := range []int{1, 2, 4} {
-		rng := stats.NewRNG(uint64(shards)*104729 + 1)
-		ds := synthDirty(rng, 45)
-		p, err := NewPipeline(DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		run := func(topo Topology) *Server {
-			t.Helper()
-			srv, err := p.Serve(ctx, ds, ServerOptions{Shards: shards, Topology: topo, SwapOps: 4})
-			if err != nil {
-				t.Fatalf("shards=%d %v: Serve: %v", shards, topo, err)
-			}
-			srng := stats.NewRNG(uint64(shards)*31 + 5)
-			for b := 0; b < 3; b++ {
-				profs := make([]model.Profile, 1+srng.Intn(5))
-				for i := range profs {
-					profs[i] = synthProfile(srng, fmt.Sprintf("b%d-%d", b, i))
-				}
-				if _, err := srv.InsertAll(ctx, profs); err != nil {
-					t.Fatalf("shards=%d %v: InsertAll: %v", shards, topo, err)
-				}
-			}
-			if err := srv.Quiesce(ctx); err != nil {
-				t.Fatalf("shards=%d %v: Quiesce: %v", shards, topo, err)
-			}
-			return srv
-		}
-		rep := run(TopologyReplicated)
-		part := run(TopologyPartitioned)
-
-		label := fmt.Sprintf("shards=%d", shards)
-		rp, err := rep.Pairs(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pp, err := part.Pairs(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSamePairs(t, label+" pairs", rp, pp)
-		if got, want := part.NumProfiles(), rep.NumProfiles(); got != want {
-			t.Fatalf("%s: NumProfiles = %d, want %d", label, got, want)
-		}
-		var rc, pc []Candidate
-		for i := 0; i < rep.NumProfiles(); i++ {
-			if rt, pt := rep.Threshold(i), part.Threshold(i); rt != pt {
-				t.Fatalf("%s: Threshold(%d) = %v, want %v", label, i, pt, rt)
-			}
-			rc = rep.AppendCandidates(rc[:0], i)
-			pc = part.AppendCandidates(pc[:0], i)
-			if len(rc) != len(pc) {
-				t.Fatalf("%s: Candidates(%d): %d, want %d", label, i, len(pc), len(rc))
-			}
-			for k := range rc {
-				if rc[k] != pc[k] {
-					t.Fatalf("%s: Candidates(%d)[%d] = %+v, want %+v", label, i, k, pc[k], rc[k])
-				}
-			}
-		}
-
-		// Residency: every profile owned exactly once, global counters
-		// shared, per-shard entries strictly partial when sharded.
-		pst := part.Stats()
-		rst := rep.Stats()
-		ownedTotal := 0
-		for _, st := range pst {
-			ownedTotal += st.OwnedRows
-		}
-		if want := part.NumProfiles(); ownedTotal != want {
-			t.Fatalf("%s: owned rows sum to %d, want %d", label, ownedTotal, want)
-		}
-		for i, st := range rst {
-			if st.OwnedRows != rep.NumProfiles() {
-				t.Fatalf("%s: replicated shard %d owns %d rows, want all %d", label, i, st.OwnedRows, rep.NumProfiles())
-			}
-		}
-		if shards > 1 {
-			for i, st := range pst {
-				if st.ResidentBytes >= rst[0].ResidentBytes {
-					t.Fatalf("%s: partitioned shard %d resident %d bytes, not below replicated %d",
-						label, i, st.ResidentBytes, rst[0].ResidentBytes)
-				}
-			}
-		}
-		if err := rep.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := part.Close(); err != nil {
-			t.Fatal(err)
 		}
 	}
 }
@@ -222,7 +115,7 @@ func TestPartitionedBoundaryIDsUnderChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := p.Serve(ctx, ds, ServerOptions{Shards: 3, Topology: TopologyPartitioned, SwapOps: 2})
+	srv, err := p.Serve(ctx, ds, ServerOptions{Shards: 3, SwapOps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,57 +178,55 @@ func TestViewConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, topo := range []Topology{TopologyReplicated, TopologyPartitioned} {
-		srv, err := p.Serve(ctx, ds, ServerOptions{Shards: 3, Topology: topo, SwapOps: 2})
-		if err != nil {
-			t.Fatalf("%v: Serve: %v", topo, err)
+	srv, err := p.Serve(ctx, ds, ServerOptions{Shards: 3, SwapOps: 2})
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	v, err := srv.View(ctx)
+	if err != nil {
+		t.Fatalf("View: %v", err)
+	}
+	before := make([][]Candidate, v.NumProfiles())
+	for i := range before {
+		before[i] = v.Candidates(i)
+	}
+	batchesBefore := v.Batches()
+	// Publish past the view.
+	for b := 0; b < 4; b++ {
+		profs := []model.Profile{synthProfile(rng, fmt.Sprintf("v%d", b))}
+		if _, err := srv.InsertAll(ctx, profs); err != nil {
+			t.Fatalf("InsertAll: %v", err)
 		}
-		v, err := srv.View(ctx)
-		if err != nil {
-			t.Fatalf("%v: View: %v", topo, err)
+	}
+	if err := srv.Quiesce(ctx); err != nil {
+		t.Fatalf("Quiesce: %v", err)
+	}
+	if got := v.Batches(); got != batchesBefore {
+		t.Fatalf("view cursor moved: %d -> %d", batchesBefore, got)
+	}
+	for i := range before {
+		after := v.Candidates(i)
+		if len(after) != len(before[i]) {
+			t.Fatalf("view read of %d changed after publication", i)
 		}
-		before := make([][]Candidate, v.NumProfiles())
-		for i := range before {
-			before[i] = v.Candidates(i)
-		}
-		batchesBefore := v.Batches()
-		// Publish past the view.
-		for b := 0; b < 4; b++ {
-			profs := []model.Profile{synthProfile(rng, fmt.Sprintf("v%d", b))}
-			if _, err := srv.InsertAll(ctx, profs); err != nil {
-				t.Fatalf("%v: InsertAll: %v", topo, err)
+		for k := range after {
+			if after[k] != before[i][k] {
+				t.Fatalf("view read of %d changed after publication", i)
 			}
 		}
-		if err := srv.Quiesce(ctx); err != nil {
-			t.Fatalf("%v: Quiesce: %v", topo, err)
-		}
-		if got := v.Batches(); got != batchesBefore {
-			t.Fatalf("%v: view cursor moved: %d -> %d", topo, batchesBefore, got)
-		}
-		for i := range before {
-			after := v.Candidates(i)
-			if len(after) != len(before[i]) {
-				t.Fatalf("%v: view read of %d changed after publication", topo, i)
-			}
-			for k := range after {
-				if after[k] != before[i][k] {
-					t.Fatalf("%v: view read of %d changed after publication", topo, i)
-				}
-			}
-		}
-		// A fresh view observes the later state.
-		v2, err := srv.View(ctx)
-		if err != nil {
-			t.Fatalf("%v: second View: %v", topo, err)
-		}
-		if v2.Batches() <= batchesBefore {
-			t.Fatalf("%v: second view did not advance (%d <= %d)", topo, v2.Batches(), batchesBefore)
-		}
-		if got, want := v2.NumProfiles(), srv.Admitted(); got != want {
-			t.Fatalf("%v: second view covers %d profiles, want %d", topo, got, want)
-		}
-		if err := srv.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	// A fresh view observes the later state.
+	v2, err := srv.View(ctx)
+	if err != nil {
+		t.Fatalf("second View: %v", err)
+	}
+	if v2.Batches() <= batchesBefore {
+		t.Fatalf("second view did not advance (%d <= %d)", v2.Batches(), batchesBefore)
+	}
+	if got, want := v2.NumProfiles(), srv.Admitted(); got != want {
+		t.Fatalf("second view covers %d profiles, want %d", got, want)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -9,7 +9,11 @@ package blast
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -40,6 +44,18 @@ func checkServerEquivalence(t *testing.T, label string, p *Pipeline, srv *Server
 	}
 	if got, want := srv.NumProfiles(), srv.Admitted(); got != want {
 		t.Fatalf("%s: quiesced server published %d of %d admitted profiles", label, got, want)
+	}
+	// Residency: every profile's row is owned by exactly one shard, so
+	// with several shards none holds them all.
+	owned := 0
+	for i, st := range srv.Stats() {
+		owned += st.OwnedRows
+		if srv.NumShards() > 1 && st.OwnedRows >= srv.NumProfiles() {
+			t.Fatalf("%s: shard %d owns all %d rows", label, i, st.OwnedRows)
+		}
+	}
+	if owned != srv.NumProfiles() {
+		t.Fatalf("%s: owned rows sum to %d, want %d", label, owned, srv.NumProfiles())
 	}
 	got, err := srv.Pairs(ctx)
 	if err != nil {
@@ -484,8 +500,30 @@ func TestServerLifecycleAndBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ps.Serve(ctx, ds, ServerOptions{}); err == nil {
-		t.Error("supervised serving accepted")
+	// Rejected on every construction path — in-memory and durable, from
+	// a dataset and from prebuilt blocks — and before a durable
+	// directory is touched.
+	supDir := filepath.Join(t.TempDir(), "sup")
+	for _, sopt := range []ServerOptions{{}, {Dir: supDir}} {
+		if _, err := ps.Serve(ctx, ds, sopt); !errors.Is(err, errSupervisedIndex) {
+			t.Errorf("supervised serving accepted (Dir %q): %v", sopt.Dir, err)
+		}
+	}
+	sch, err := p.InduceSchema(ctx, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := p.Block(ctx, ds, sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sopt := range []ServerOptions{{}, {Dir: supDir}} {
+		if _, err := ps.ServeBlocks(ctx, blocks, sopt); !errors.Is(err, errSupervisedIndex) {
+			t.Errorf("supervised ServeBlocks accepted (Dir %q): %v", sopt.Dir, err)
+		}
+	}
+	if _, err := os.Stat(supDir); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("rejected supervised server touched its durable dir: %v", err)
 	}
 
 	srv, err := p.Serve(ctx, ds, ServerOptions{Shards: 2, SwapOps: -1})
