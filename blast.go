@@ -345,7 +345,7 @@ type Options struct {
 	// Seed drives the deterministic randomness (LSH, SVM sampling).
 	Seed uint64
 	// Workers parallelizes blocking-graph construction, weighting AND
-	// the streaming pruning passes (thresholds, top-k marking, retention
+	// the pruning passes (thresholds, top-k marking, retention
 	// — everywhere a CSR is built or pruned: batch runs, IndexBlocks, the
 	// incremental index's re-derivations, the sharded server's shards):
 	// 0 uses one worker per CPU, 1 forces serial execution, >1 uses

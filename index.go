@@ -37,7 +37,6 @@ import (
 
 	"blast/internal/blocking"
 	"blast/internal/graph"
-	"blast/internal/metablocking"
 	"blast/internal/model"
 	"blast/internal/prune"
 	"blast/internal/shard"
@@ -100,6 +99,10 @@ type Index struct {
 	csr        *graph.CSR
 	retained   []bool
 	theta      []float64
+	// node is the node-local scheme's rule (nil for the others): the
+	// theta reducer and edge test the last full decision used, which the
+	// localized insert path re-applies to single runs.
+	node       *prune.NodeRule
 	pairs      []model.IDPair
 	pairsValid bool
 	// retainedEntries counts marked adjacency entries (2 per retained
@@ -181,11 +184,11 @@ func (p *Pipeline) IndexBlocks(ctx context.Context, blocks *Blocks) (*Index, err
 		return fail(err)
 	}
 
-	pairs, retained, theta, err := freezeDecisions(ctx, csr, p.opt)
+	pairs, retained, dec, err := freezeDecisions(ctx, csr, p.opt)
 	if err != nil {
 		return fail(err)
 	}
-	// The pruning dispatch above was the last reader of the per-node
+	// The pruning decision above was the last reader of the per-node
 	// block counts (the CEP/CNP budgets); a query-only index serves
 	// Candidates/Threshold/Pairs without them. The first Insert
 	// re-derives them together with the co-occurrence statistics.
@@ -198,7 +201,8 @@ func (p *Pipeline) IndexBlocks(ctx context.Context, blocks *Blocks) (*Index, err
 		opt:             p.opt,
 		csr:             csr,
 		retained:        retained,
-		theta:           theta,
+		theta:           dec.Theta,
+		node:            dec.Node,
 		pairs:           pairs,
 		pairsValid:      true,
 		retainedEntries: 2 * int64(len(pairs)),
@@ -210,56 +214,30 @@ func (p *Pipeline) IndexBlocks(ctx context.Context, blocks *Blocks) (*Index, err
 
 // freezeDecisions derives the pruning outcome of a weighted CSR: the
 // retained pairs in canonical order, the per-entry retention mask, and
-// the per-node thresholds. It is the shared tail of a cold IndexBlocks
-// and of the incremental path's global re-derivation, which is what
-// makes the two byte-identical by construction.
-func freezeDecisions(ctx context.Context, csr *graph.CSR, opt Options) ([]model.IDPair, []bool, []float64, error) {
-	pairs, err := metablocking.PruneCSR(ctx, csr, metaConfigFromOptions(opt))
+// the decision (its per-node thresholds and node-local rule). It is
+// prune.Decide over the whole graph, the same function every Server
+// shard decides with, and the shared tail of a cold IndexBlocks and of
+// the incremental path's global re-derivation, which is what makes them
+// byte-identical by construction.
+func freezeDecisions(ctx context.Context, csr *graph.CSR, opt Options) ([]model.IDPair, []bool, prune.Decision, error) {
+	dec, err := prune.Decide(ctx, csr, pruneParams(opt), csr.NumEdges(), prune.OneGraph{})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, dec, err
 	}
-	// Mark both entries of every retained edge. The pruning schemes emit
-	// pairs in canonical order — the exact order CanonicalMirrorCtx
-	// visits edges — so a single merge pass resolves pair -> entry.
-	retained := make([]bool, csr.NumEntries())
-	next := 0
-	err = csr.CanonicalMirrorCtx(ctx, func(u, v int32, pos, mirror int64) {
-		if next < len(pairs) && pairs[next].U == u && pairs[next].V == v {
-			retained[pos] = true
-			retained[mirror] = true
-			next++
-		}
-	})
+	retained, _, err := prune.MarkOwned(ctx, csr, opt.Workers, dec.Keep)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, dec, err
 	}
-	theta, err := nodeThresholds(ctx, csr, opt)
+	pairs, err := prune.Emit(ctx, csr, opt.Workers, dec.Keep)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, dec, err
 	}
 	// Spilled page reads fail closed through the sticky error: reject
 	// the freeze rather than adopting decisions derived from zeroed runs.
 	if err := csr.Err(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, dec, err
 	}
-	return pairs, retained, theta, nil
-}
-
-// nodeThresholds materializes the per-node pruning thresholds theta_i
-// for the threshold-based schemes through the same prune reducers the
-// retention decision used (one extra O(E) pass over the adjacency
-// weights — small next to the graph build), parallelized over
-// Options.Workers like the pruning itself. Global and cardinality
-// schemes have no per-node threshold and yield nil.
-func nodeThresholds(ctx context.Context, csr *graph.CSR, opt Options) ([]float64, error) {
-	switch opt.Pruning {
-	case metablocking.BlastWNP:
-		return prune.BlastThresholds(ctx, csr, opt.C, opt.Workers)
-	case metablocking.WNP1, metablocking.WNP2:
-		return prune.MeanThresholds(ctx, csr, opt.Workers)
-	default:
-		return nil, nil
-	}
+	return pairs, retained, dec, nil
 }
 
 // NumProfiles returns the number of profiles the index covers, including
@@ -412,8 +390,8 @@ func (ix *Index) Pairs() []model.IDPair {
 	if !ix.pairsValid {
 		pairs := make([]model.IDPair, 0, ix.retainedEntries/2)
 		// The overlay exists whenever pairs are invalidated; iterate the
-		// live adjacency in canonical order, the exact order every
-		// streaming pruning scheme emits.
+		// live adjacency in canonical order, the exact order prune.Emit
+		// emits.
 		_ = ix.ov.ForEachCanonical(context.Background(), func(u, v int32, _ float64, retained bool) {
 			if retained {
 				pairs = append(pairs, model.IDPair{U: u, V: v})
@@ -968,15 +946,7 @@ func (ix *Index) localizedFinalize(st *insertState) error {
 	// changed; track which thresholds actually moved.
 	thetaChanged := make(map[int32]struct{})
 	for n := range weightTouched {
-		run := ov.Run(n)
-		var th float64
-		switch ix.opt.Pruning {
-		case metablocking.BlastWNP:
-			th = prune.BlastThresholdOf(run.Weights, ix.opt.C)
-		default: // WNP1, WNP2
-			th = prune.MeanThresholdOf(run.Weights)
-		}
-		if th != ix.theta[n] {
+		if th := ix.node.Theta(ov.Run(n).Weights); th != ix.theta[n] {
 			ix.theta[n] = th
 			thetaChanged[n] = struct{}{}
 		}
@@ -987,7 +957,7 @@ func (ix *Index) localizedFinalize(st *insertState) error {
 	// weight changed or is new.
 	reEval := func(u, v int32, pu, pv int) {
 		wt := ov.WeightAt(u, pu)
-		keep := wt > 0 && ix.keepEdge(wt, ix.theta[u], ix.theta[v])
+		keep := wt > 0 && ix.node.Keep(wt, ix.theta[u], ix.theta[v])
 		if old := ov.SetRetained(u, pu, keep); old != keep {
 			if keep {
 				ix.retainedEntries++
@@ -1020,22 +990,6 @@ func (ix *Index) localizedFinalize(st *insertState) error {
 	return nil
 }
 
-// keepEdge applies the node-local retention criterion — the same
-// predicates the streaming pruners use (positive weight is checked by
-// the caller).
-func (ix *Index) keepEdge(w, thU, thV float64) bool {
-	switch ix.opt.Pruning {
-	case metablocking.BlastWNP:
-		return w >= (thU+thV)/ix.opt.D
-	case metablocking.WNP1:
-		return w >= thU || w >= thV
-	case metablocking.WNP2:
-		return w >= thU && w >= thV
-	default:
-		panic(fmt.Sprintf("blast: keepEdge on non-node-local pruning %v", ix.opt.Pruning))
-	}
-}
-
 // rebuildDecisionsLocked is the global fallback: compact the spliced
 // adjacency into a flat CSR, reapply the weighting scheme to every edge
 // from the retained co-occurrence statistics, and re-derive pruning,
@@ -1053,13 +1007,14 @@ func (ix *Index) rebuildDecisionsLocked() error {
 		return err
 	}
 	ix.opt.Scheme.ApplyCSR(csr, csr.Degrees(), csr.NumEdges(), ix.opt.Workers)
-	pairs, retained, theta, err := freezeDecisions(ctx, csr, ix.opt)
+	pairs, retained, dec, err := freezeDecisions(ctx, csr, ix.opt)
 	if err != nil {
 		return err // background context never cancels
 	}
 	ix.csr = csr
 	ix.retained = retained
-	ix.theta = theta
+	ix.theta = dec.Theta
+	ix.node = dec.Node
 	ix.pairs = pairs
 	ix.pairsValid = true
 	ix.retainedEntries = 2 * int64(len(pairs))

@@ -16,7 +16,7 @@ import (
 	"blast/internal/weights"
 )
 
-// PruneRow measures one streaming pruning scheme at one worker count on
+// PruneRow measures one pruning scheme at one worker count on
 // one registry dataset: wall-clock of the full pruning (thresholds /
 // histogram selection + retention emission), allocation during the
 // pass, and the speedup over the serial (Workers = 1) run of the same
@@ -43,7 +43,7 @@ var pruneWorkerCounts = []int{1, 2, 4}
 // prunePrunings are the schemes the experiment times: BLAST's own
 // pruning (threshold + retention passes), the two global schemes whose
 // scratch the histogram cut eliminated, and one cardinality node
-// scheme (mark + mirror-resolution passes).
+// scheme (mark pass + mark-list lookups).
 var prunePrunings = []metablocking.Pruning{
 	metablocking.BlastWNP, metablocking.WEP, metablocking.CEP, metablocking.CNP1,
 }
@@ -52,7 +52,7 @@ var prunePrunings = []metablocking.Pruning{
 // scheduler noise without inflating the experiment's runtime.
 const pruneReps = 3
 
-// Prune benchmarks the parallel streaming pruning schemes on one
+// Prune benchmarks the parallel pruning schemes on one
 // registry dataset (default dbp, the largest): the blocking graph is
 // built and weighted once, then every Pruning x Workers cell times
 // metablocking.PruneCSR over the shared CSR and byte-compares its

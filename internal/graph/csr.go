@@ -27,8 +27,8 @@ import (
 // BuildCSR builds each node's run independently from the block index
 // with an O(|profiles|) scratch accumulator, so peak allocation stays
 // proportional to the output adjacency rather than to a hash table over
-// the edges. The streaming pruning schemes (package prune) consume this
-// form directly and never materialize an edge list.
+// the edges. The pruning decision (package prune) consumes this form
+// directly and never materializes an edge list.
 type CSR struct {
 	// NumProfiles is the number of nodes (profiles of the dataset,
 	// whether or not they have edges).
@@ -202,22 +202,9 @@ func (g *CSR) CanonicalCtx(ctx context.Context, fn func(u, v int32, p int64)) er
 	return nil
 }
 
-// CanonicalMirrorCtx is CanonicalCtx plus the position mp of each
-// edge's reverse entry (the one in v's run pointing back at u), located
-// in O(1) per edge: because the sub-v neighbors of any node v form the
-// prefix of v's run in ascending order — the same order in which their
-// canonical entries are visited — a per-node cursor into that prefix
-// always lands on the current edge's mirror. Every consumer that needs
-// both entries of an edge must go through this iterator or MirrorEntry
-// rather than re-derive the invariant. It has the same early-stop
-// contract as CanonicalCtx.
 // MirrorEntry locates the reverse entry of edge (u, v) — the position
-// of u in v's neighbor-sorted run — by binary search, O(log degree(v)).
-// It is the random-access counterpart of CanonicalMirrorCtx's cursor sweep
-// (both resolve the same unique entry; the sorted-unique run layout is
-// owned here, next to the iterator): chunked parallel passes use it
-// because per-node cursors only work when one sweep visits every node
-// in ascending order. The edge must exist.
+// of u in v's neighbor-sorted run — by binary search, O(log
+// degree(v)). The edge must exist.
 func (g *CSR) MirrorEntry(u, v int32) int64 {
 	base := g.Offsets[v]
 	nbr, _ := g.Run(int(v))
@@ -231,42 +218,6 @@ func (g *CSR) MirrorEntry(u, v int32) int64 {
 		}
 	}
 	return base + int64(lo)
-}
-
-func (g *CSR) CanonicalMirrorCtx(ctx context.Context, fn func(u, v int32, p, mp int64)) error {
-	cursors := make([]int64, g.NumProfiles)
-	budget := int64(csrCancelCheckEvery)
-	for u := 0; u < g.NumProfiles; u++ {
-		if u%csrCancelCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		base, end := g.Offsets[u], g.Offsets[u+1]
-		nbr, _ := g.Run(u)
-		for p := base; p < end; {
-			seg := end - p
-			if seg > budget {
-				seg = budget
-			}
-			for stop := p + seg; p < stop; p++ {
-				v := nbr[p-base]
-				if int(v) < u {
-					continue // reverse entry; visited from its canonical side
-				}
-				mp := g.Offsets[v] + cursors[v]
-				cursors[v]++
-				fn(int32(u), v, p, mp)
-			}
-			if budget -= seg; budget == 0 {
-				budget = csrCancelCheckEvery
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // newCSRHeader fills in the collection-level statistics shared by

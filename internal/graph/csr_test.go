@@ -305,19 +305,29 @@ func TestCutRangesCoverAndBalance(t *testing.T) {
 	}
 }
 
-// TestMirrorEntryMatchesCursor pins the two sanctioned mirror
-// accessors to each other: the binary-search MirrorEntry must locate
-// exactly the entry the CanonicalMirrorCtx cursor sweep yields, for every
-// edge, in both directions.
-func TestMirrorEntryMatchesCursor(t *testing.T) {
+// linearMirror finds the reverse entry of edge (u, v) by a linear scan
+// of v's run: the naive oracle of MirrorEntry's binary search.
+func linearMirror(g *CSR, u, v int32) int64 {
+	nbr, _ := g.Run(int(v))
+	for i, x := range nbr {
+		if x == u {
+			return g.Offsets[v] + int64(i)
+		}
+	}
+	return -1
+}
+
+// TestMirrorEntryMatchesLinearScan pins MirrorEntry to a linear scan of
+// the neighbor's run, for every edge, in both directions.
+func TestMirrorEntryMatchesLinearScan(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		rng := stats.NewRNG(seed * 31337)
 		for _, kind := range []model.Kind{model.Dirty, model.CleanClean} {
 			c := blocking.RandomCollection(rng, kind, 30+rng.Intn(50), 25+rng.Intn(25))
 			g := buildCSR(c)
-			_ = g.CanonicalMirrorCtx(context.Background(), func(u, v int32, p, mp int64) {
-				if got := g.MirrorEntry(u, v); got != mp {
-					t.Fatalf("MirrorEntry(%d,%d) = %d, cursor says %d", u, v, got, mp)
+			g.Canonical(func(u, v int32, p int64) {
+				if got, want := g.MirrorEntry(u, v), linearMirror(g, u, v); got != want {
+					t.Fatalf("MirrorEntry(%d,%d) = %d, linear scan says %d", u, v, got, want)
 				}
 				if got := g.MirrorEntry(v, u); got != p {
 					t.Fatalf("MirrorEntry(%d,%d) = %d, canonical entry is %d", v, u, got, p)

@@ -323,7 +323,7 @@ func (o *Overlay) SetRetained(n int32, pos int, v bool) bool {
 
 // ForEachCanonical invokes fn for every canonical (u < v) live entry in
 // ascending (u, v) order with its weight and retention mark — the order
-// Pairs materialization and the streaming pruners use. Polls ctx at
+// Pairs materialization and the pruning emission use. Polls ctx at
 // node-chunk granularity and at edge-segment granularity inside each
 // run, so a hub row cannot delay cancellation arbitrarily.
 func (o *Overlay) ForEachCanonical(ctx context.Context, fn func(u, v int32, w float64, retained bool)) error {

@@ -103,30 +103,17 @@ func TestBuildCSRSpillMatchesResident(t *testing.T) {
 			}
 		}
 
-		// Mirror resolution agrees across backings.
+		// Mirror resolution agrees across backings and with a linear
+		// scan of the neighbor's run.
 		resident.Canonical(func(u, v int32, p int64) {
-			if rm, sm := resident.MirrorEntry(u, v), spilled.MirrorEntry(u, v); rm != sm {
-				t.Fatalf("MirrorEntry(%d,%d) = %d spilled, %d resident", u, v, sm, rm)
+			want := linearMirror(resident, u, v)
+			if rm, sm := resident.MirrorEntry(u, v), spilled.MirrorEntry(u, v); rm != want || sm != want {
+				t.Fatalf("MirrorEntry(%d,%d) = %d spilled, %d resident, want %d", u, v, sm, rm, want)
+			}
+			if got := linearMirror(spilled, u, v); got != want {
+				t.Fatalf("spilled run of %d: linear scan finds %d at %d, want %d", v, u, got, want)
 			}
 		})
-
-		// CanonicalMirrorCtx sweeps visit identical (u, v, p, mp) tuples.
-		type quad struct {
-			u, v  int32
-			p, mp int64
-		}
-		var want []quad
-		_ = resident.CanonicalMirrorCtx(context.Background(), func(u, v int32, p, mp int64) { want = append(want, quad{u, v, p, mp}) })
-		i := 0
-		_ = spilled.CanonicalMirrorCtx(context.Background(), func(u, v int32, p, mp int64) {
-			if i >= len(want) || want[i] != (quad{u, v, p, mp}) {
-				t.Fatalf("mirror sweep diverged at %d", i)
-			}
-			i++
-		})
-		if i != len(want) {
-			t.Fatalf("mirror sweep visited %d edges, want %d", i, len(want))
-		}
 
 		// MaterializeWeights restores the full resident weight array.
 		mw, err := spilled.MaterializeWeights()

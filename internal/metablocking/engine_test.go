@@ -5,10 +5,14 @@ package metablocking
 // weighed with weights.Weigher, and pruned by each scheme's textbook
 // definition — for every Pruning x Scheme x Workers combination, on
 // randomized block collections of both kinds and on the registry
-// benchmarks.
+// benchmarks. For the node-local schemes the oracle's per-node
+// thresholds also pin the theta prune.Decide exposes (the values the
+// Index and Server serve as Threshold).
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"testing"
@@ -94,13 +98,10 @@ func newReference(c *blocking.Collection) *reference {
 	return &reference{c: c, edges: edges, adj: adj, counts: c.ProfileBlockCounts()}
 }
 
-// referencePairs runs the reference over c once.
-func referencePairs(c *blocking.Collection, cfg Config) []model.IDPair {
-	return newReference(c).pairs(cfg)
-}
-
-// pairs weighs and prunes the reference graph under cfg.
-func (r *reference) pairs(cfg Config) []model.IDPair {
+// pairs weighs and prunes the reference graph under cfg, returning the
+// retained pairs and — for the node-local schemes (WNP1, WNP2,
+// BlastWNP) — the per-node thresholds theta_i (nil otherwise).
+func (r *reference) pairs(cfg Config) ([]model.IDPair, []float64) {
 	c, adj, counts := r.c, r.adj, r.counts
 	edges := append([]refEdge(nil), r.edges...)
 	w := cfg.Scheme.Weigher(len(edges), c.Len())
@@ -113,7 +114,8 @@ func (r *reference) pairs(cfg Config) []model.IDPair {
 	// Pruning: keep[i] decides edge i; zero and negative weights are
 	// never retained.
 	keep := make([]bool, len(edges))
-	nodeThresholds := func(reduce func(ws []float64) float64) []float64 {
+	var theta []float64
+	thresholdsOf := func(reduce func(ws []float64) float64) []float64 {
 		th := make([]float64, c.NumProfiles)
 		for n, inc := range adj {
 			if len(inc) == 0 {
@@ -166,7 +168,8 @@ func (r *reference) pairs(cfg Config) []model.IDPair {
 			keep[i] = true
 		}
 	case WNP1, WNP2:
-		th := nodeThresholds(mean)
+		th := thresholdsOf(mean)
+		theta = th
 		for i, e := range edges {
 			keep[i] = resolve(e.w >= th[e.u], e.w >= th[e.v])
 		}
@@ -199,13 +202,14 @@ func (r *reference) pairs(cfg Config) []model.IDPair {
 		if d <= 0 {
 			d = 2
 		}
-		th := nodeThresholds(func(ws []float64) float64 {
+		th := thresholdsOf(func(ws []float64) float64 {
 			m := ws[0]
 			for _, x := range ws {
 				m = max(m, x)
 			}
 			return m / cc
 		})
+		theta = th
 		for i, e := range edges {
 			keep[i] = e.w >= (th[e.u]+th[e.v])/d
 		}
@@ -218,7 +222,7 @@ func (r *reference) pairs(cfg Config) []model.IDPair {
 			out = append(out, model.IDPair{U: e.u, V: e.v})
 		}
 	}
-	return out
+	return out, theta
 }
 
 // samePairs fails the test unless the two runs retained byte-identical
@@ -244,16 +248,37 @@ var engineWorkersAxis = []int{0, 1, 2, 4}
 // full Workers axis and asserts output identical to the reference.
 func checkEngineEquivalence(t *testing.T, c *blocking.Collection, cfg Config) {
 	t.Helper()
-	checkAgainst(t, c, referencePairs(c, cfg), cfg)
+	want, theta := newReference(c).pairs(cfg)
+	checkAgainst(t, c, want, theta, cfg)
 }
 
-// checkAgainst asserts Run's output equals want across the Workers axis.
-func checkAgainst(t *testing.T, c *blocking.Collection, want []model.IDPair, cfg Config) {
+// checkAgainst asserts Run's output equals want across the Workers
+// axis, and — for the node-local schemes — that the theta prune.Decide
+// derives from Run's weighted graph is bit-identical to the reference's
+// at every worker count.
+func checkAgainst(t *testing.T, c *blocking.Collection, want []model.IDPair, theta []float64, cfg Config) {
 	t.Helper()
 	label := cfg.Scheme.Name() + "+" + cfg.Pruning.String()
 	for _, workers := range engineWorkersAxis {
 		cfg.Workers = workers
-		samePairs(t, fmt.Sprintf("%s workers=%d", label, workers), want, Run(c, cfg).Pairs)
+		res := Run(c, cfg)
+		samePairs(t, fmt.Sprintf("%s workers=%d", label, workers), want, res.Pairs)
+		if !cfg.Pruning.NodeLocal() {
+			continue
+		}
+		p := prune.Params{Pruning: cfg.Pruning, C: cfg.C, D: cfg.D, K: cfg.K, Workers: workers}
+		dec, err := prune.Decide(context.Background(), res.CSR, p, res.CSR.NumEdges(), prune.OneGraph{})
+		if err != nil {
+			t.Fatalf("%s workers=%d: %v", label, workers, err)
+		}
+		if len(dec.Theta) != len(theta) {
+			t.Fatalf("%s workers=%d: %d thresholds, reference has %d", label, workers, len(dec.Theta), len(theta))
+		}
+		for i := range theta {
+			if math.Float64bits(dec.Theta[i]) != math.Float64bits(theta[i]) {
+				t.Fatalf("%s workers=%d: theta[%d] = %v, reference %v", label, workers, i, dec.Theta[i], theta[i])
+			}
+		}
 	}
 }
 
@@ -317,7 +342,8 @@ func TestEngineEquivalenceRegistryDatasets(t *testing.T) {
 			t.Run(name+"/"+pruning.String(), func(t *testing.T) {
 				for _, s := range allSchemes() {
 					cfg := Config{Scheme: s, Pruning: pruning, C: 2, D: 2}
-					checkAgainst(t, c, ref.pairs(cfg), cfg)
+					want, theta := ref.pairs(cfg)
+					checkAgainst(t, c, want, theta, cfg)
 				}
 			})
 		}

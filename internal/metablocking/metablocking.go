@@ -6,8 +6,9 @@
 //
 // The blocking graph is a node-centric CSR adjacency (graph.BuildCSR):
 // no global edge accumulator or edge list is ever allocated, so peak
-// memory stays proportional to the adjacency itself, and every pruning
-// scheme streams over the adjacency runs (package prune).
+// memory stays proportional to the adjacency itself. Pruning is
+// prune.Decide over the whole graph followed by one chunked emission
+// pass over the adjacency runs (PruneCSR).
 package metablocking
 
 import (
@@ -23,64 +24,20 @@ import (
 	"blast/internal/weights"
 )
 
-// Pruning enumerates the pruning algorithms.
-type Pruning int
+// Pruning enumerates the pruning algorithms; it is prune.Pruning, so
+// every package names one enum.
+type Pruning = prune.Pruning
 
+// The pruning algorithms (see prune.Pruning).
 const (
-	// WEP discards edges below the global mean weight.
-	WEP Pruning = iota
-	// CEP keeps the globally top-K edges.
-	CEP
-	// WNP1 is redefined weight node pruning (either endpoint).
-	WNP1
-	// WNP2 is reciprocal weight node pruning (both endpoints).
-	WNP2
-	// CNP1 is redefined cardinality node pruning.
-	CNP1
-	// CNP2 is reciprocal cardinality node pruning.
-	CNP2
-	// BlastWNP is the paper's pruning: theta_i = M_i/c, edge threshold
-	// (theta_u + theta_v)/d.
-	BlastWNP
+	WEP      = prune.WEP
+	CEP      = prune.CEP
+	WNP1     = prune.WNP1
+	WNP2     = prune.WNP2
+	CNP1     = prune.CNP1
+	CNP2     = prune.CNP2
+	BlastWNP = prune.BlastWNP
 )
-
-// String implements fmt.Stringer.
-func (p Pruning) String() string {
-	switch p {
-	case WEP:
-		return "wep"
-	case CEP:
-		return "cep"
-	case WNP1:
-		return "wnp1"
-	case WNP2:
-		return "wnp2"
-	case CNP1:
-		return "cnp1"
-	case CNP2:
-		return "cnp2"
-	case BlastWNP:
-		return "blast-wnp"
-	default:
-		return fmt.Sprintf("Pruning(%d)", int(p))
-	}
-}
-
-// NodeLocal reports whether the scheme's retention decision for an edge
-// depends only on the edge's weight and its two endpoints' node-local
-// thresholds (theta_i), with no collection-size-derived budget: BlastWNP
-// and the two WNP variants. For these schemes an insertion re-evaluates
-// only the runs whose weights or thresholds actually changed; the global
-// and cardinality schemes (WEP, CEP, CNP — whose default budgets shift
-// with every profile) require a full re-evaluation instead.
-func (p Pruning) NodeLocal() bool {
-	switch p {
-	case WNP1, WNP2, BlastWNP:
-		return true
-	default:
-		return false
-	}
-}
 
 // Config selects the weighting scheme and pruning algorithm.
 type Config struct {
@@ -95,7 +52,7 @@ type Config struct {
 	// K overrides the cardinality of CEP/CNP; <= 0 uses their defaults.
 	K int
 	// Workers parallelizes blocking-graph construction, weighting and
-	// the streaming pruning passes (see PruneCSR): 0 uses one worker per
+	// the pruning passes (see PruneCSR): 0 uses one worker per
 	// CPU (GOMAXPROCS), 1 runs serially, >1 uses exactly that many
 	// goroutines. Output is byte-identical either way.
 	Workers int
@@ -173,33 +130,20 @@ func (r *Result) PairSet() map[uint64]struct{} {
 	return set
 }
 
-// PruneCSR dispatches the configured pruning over a weighted CSR graph,
-// emitting the retained pairs directly in canonical order. It is
-// exported for consumers (the candidate-serving index) that weight a CSR
+// PruneCSR makes the configured pruning decision over a weighted CSR
+// graph that holds the whole graph and emits the retained pairs in
+// canonical order. It is exported for consumers that weight a CSR
 // themselves and only need the retention decision. Cfg.Workers selects
 // the pruning parallelism (0 = GOMAXPROCS, 1 = serial); the retained
 // pairs are byte-identical at every worker count. Cancellation is
-// observed at the edge-segment granularity of the streaming schemes.
+// observed at edge-segment granularity.
 func PruneCSR(ctx context.Context, g *graph.CSR, cfg Config) ([]model.IDPair, error) {
-	workers := cfg.Workers
-	switch cfg.Pruning {
-	case WEP:
-		return prune.WEPStream(ctx, g, workers)
-	case CEP:
-		return prune.CEPStream(ctx, g, cfg.K, workers)
-	case WNP1:
-		return prune.WNPStream(ctx, g, prune.Redefined, workers)
-	case WNP2:
-		return prune.WNPStream(ctx, g, prune.Reciprocal, workers)
-	case CNP1:
-		return prune.CNPStream(ctx, g, cfg.K, prune.Redefined, workers)
-	case CNP2:
-		return prune.CNPStream(ctx, g, cfg.K, prune.Reciprocal, workers)
-	case BlastWNP:
-		return prune.BlastWNPStream(ctx, g, cfg.C, cfg.D, workers)
-	default:
-		panic(fmt.Sprintf("metablocking: unknown pruning %d", int(cfg.Pruning)))
+	p := prune.Params{Pruning: cfg.Pruning, C: cfg.C, D: cfg.D, K: cfg.K, Workers: cfg.Workers}
+	dec, err := prune.Decide(ctx, g, p, g.NumEdges(), prune.OneGraph{})
+	if err != nil {
+		return nil, err
 	}
+	return prune.Emit(ctx, g, cfg.Workers, dec.Keep)
 }
 
 // Run executes meta-blocking over the block collection.

@@ -1,27 +1,31 @@
 package prune
 
-// FuzzPruneParallel is the serial-vs-parallel differential fuzzer of
-// the parallel pruning passes: the fuzz input derives a random block
-// collection, a weighting scheme, a pruning scheme with its knobs, and
-// a worker count, and the parallel output must be byte-identical to the
-// serial streaming scheme. Registered in CI's fuzz smoke matrix.
+// FuzzPruneParallel is the serial-vs-parallel-vs-sharded differential
+// fuzzer of the retention decision: the fuzz input derives a random
+// block collection, a weighting scheme, a pruning scheme with its
+// knobs, a worker count and a shard count. The parallel one-graph
+// output must be byte-identical to the serial one, and owned-rows
+// parties deciding through the exchange must reproduce the one-graph
+// decision (checkShards). Registered in CI's fuzz smoke matrix.
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"blast/internal/blocking"
+	"blast/internal/graph"
 	"blast/internal/model"
 	"blast/internal/stats"
 	"blast/internal/weights"
 )
 
 func FuzzPruneParallel(f *testing.F) {
-	f.Add(uint64(1), uint8(0), uint8(0), uint8(0), uint8(3))
-	f.Add(uint64(42), uint8(1), uint8(2), uint8(1), uint8(0))
-	f.Add(uint64(7919), uint8(0), uint8(5), uint8(3), uint8(7))
-	f.Add(uint64(2654435761), uint8(1), uint8(6), uint8(4), uint8(16))
-	f.Fuzz(func(t *testing.T, seed uint64, kindB, pruneB, schemeB, workersB uint8) {
+	f.Add(uint64(1), uint8(0), uint8(0), uint8(0), uint8(3), uint8(1))
+	f.Add(uint64(42), uint8(1), uint8(2), uint8(1), uint8(0), uint8(2))
+	f.Add(uint64(7919), uint8(0), uint8(5), uint8(3), uint8(7), uint8(3))
+	f.Add(uint64(2654435761), uint8(1), uint8(6), uint8(4), uint8(16), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, kindB, pruneB, schemeB, workersB, partsB uint8) {
 		ctx := context.Background()
 		rng := stats.NewRNG(seed | 1)
 		kind := model.Dirty
@@ -42,37 +46,29 @@ func FuzzPruneParallel(f *testing.F) {
 		// Workers spans serial, small counts, and counts far beyond the
 		// chunk count of these small graphs.
 		workers := 2 + int(workersB)%15
-		k := int(seed % 11) // 0 selects the scheme budgets
+		parts := 1 + int(partsB)%4
+		p := allParams[int(pruneB)%len(allParams)]
+		p.K = int(seed % 11) // 0 selects the scheme budgets
 
-		type scheme struct {
-			name string
-			run  func(workers int) ([]model.IDPair, error)
-		}
-		all := []scheme{
-			{"wep", func(w int) ([]model.IDPair, error) { return WEPStream(ctx, csr, w) }},
-			{"cep", func(w int) ([]model.IDPair, error) { return CEPStream(ctx, csr, k, w) }},
-			{"wnp1", func(w int) ([]model.IDPair, error) { return WNPStream(ctx, csr, Redefined, w) }},
-			{"wnp2", func(w int) ([]model.IDPair, error) { return WNPStream(ctx, csr, Reciprocal, w) }},
-			{"cnp1", func(w int) ([]model.IDPair, error) { return CNPStream(ctx, csr, k, Redefined, w) }},
-			{"cnp2", func(w int) ([]model.IDPair, error) { return CNPStream(ctx, csr, k, Reciprocal, w) }},
-			{"blast", func(w int) ([]model.IDPair, error) { return BlastWNPStream(ctx, csr, 2, 2, w) }},
-		}
-		sc := all[int(pruneB)%len(all)]
-		want, err := sc.run(1)
+		p.Workers = 1
+		want, err := prunePairs(ctx, csr, p)
 		if err != nil {
-			t.Fatalf("%s serial: %v", sc.name, err)
+			t.Fatalf("%v serial: %v", p.Pruning, err)
 		}
-		got, err := sc.run(workers)
+		p.Workers = workers
+		got, err := prunePairs(ctx, csr, p)
 		if err != nil {
-			t.Fatalf("%s workers=%d: %v", sc.name, workers, err)
+			t.Fatalf("%v workers=%d: %v", p.Pruning, workers, err)
 		}
-		if len(want) != len(got) {
-			t.Fatalf("%s workers=%d: %d pairs, want %d", sc.name, workers, len(got), len(want))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("%s workers=%d: pair %d = %v, want %v", sc.name, workers, i, got[i], want[i])
+		comparePairs(t, fmt.Sprintf("%v workers=%d", p.Pruning, workers), want, got)
+
+		checkShards(t, p.Pruning.String(), csr, p, parts, func(owns func(int32) bool) *graph.CSR {
+			g, err := graph.BuildCSR(ctx, c, owns, 1)
+			if err != nil {
+				panic(err) // background context never cancels
 			}
-		}
+			s.ApplyCSR(g, csr.Degrees(), csr.NumEdges(), 1)
+			return g
+		})
 	})
 }

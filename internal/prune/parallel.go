@@ -1,11 +1,11 @@
-// Parallel execution substrate of the streaming pruning schemes.
+// Parallel execution substrate of the pruning passes.
 //
-// Every streaming scheme decomposes into passes over the CSR that are
-// node-local (per-node thresholds, per-node top-k marks) or that emit
-// canonical edges grouped by their smaller endpoint (retention). Both
-// shapes parallelize over node ranges — but determinism, not speed, is
-// the contract here: the retained pairs must be byte-identical to the
-// serial scheme for every worker count and GOMAXPROCS. Three rules
+// Every pass of a retention decision is node-local (per-node
+// thresholds, per-node top-k marks, per-row sums and tie counts) or
+// visits canonical edges grouped by their smaller endpoint (histogram
+// counting, retention). Both shapes parallelize over node ranges — but
+// determinism, not speed, is the contract here: the decision must be
+// byte-identical for every worker count and GOMAXPROCS. Three rules
 // enforce it, designed in rather than bolted on (the PR 4 entropy
 // ordering bug is the precedent for what happens otherwise):
 //
@@ -13,9 +13,10 @@
 //     They never depend on the worker count, the weight distribution or
 //     load balancing, so every execution — serial included — reduces
 //     over exactly the same partition.
-//  2. Partial floating-point sums are produced per chunk and combined
-//     in ascending chunk order. Workers race only for *which* chunk
-//     they compute, never for the order results are folded.
+//  2. Floating-point values are produced per row, and any fold across
+//     rows has a fixed shape (FoldRowSums). Workers race only for
+//     *which* chunk they compute, never for the order results are
+//     folded.
 //  3. Integer accumulators (histogram counts, tie counts) commute and
 //     may be merged in any worker order; min/max merges likewise.
 //
@@ -27,6 +28,7 @@ package prune
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -170,64 +172,38 @@ func runChunks(ctx context.Context, workers, chunks int, fn func(w *pruneWorker,
 	return nil
 }
 
-// forChunkCanonical invokes fn for every canonical (u < v) entry whose
-// smaller endpoint lies in the chunk, in canonical order, polling ctx at
-// edge-segment granularity even inside a single long run. Runs are read
-// through the CSR's run accessor — the one seam both the resident and
-// the spilled (paged) backings serve byte-identical data through — and
-// each entry's weight rides along so passes never index a flat weight
-// array that may not be resident.
-func forChunkCanonical(g *graph.CSR, w *pruneWorker, chunk int, fn func(u, v int32, p int64, wt float64)) error {
+// forChunkCanonical invokes fn on the canonical (u < v) entries whose
+// smaller endpoint u lies in the chunk, in canonical order, one segment
+// at a time: nbr and wts are a stretch of at most streamCancelCheckEdges
+// entries of u's run, and ctx is polled between segments — even inside
+// a single long run. Runs are sorted by neighbor, so u's canonical
+// entries are the suffix of its run past u; a binary search finds it.
+// Runs are read through the CSR's run accessor — the one seam both the
+// resident and the spilled (paged) backings serve byte-identical data
+// through — so passes never index a flat weight array that may not be
+// resident.
+func forChunkCanonical(g *graph.CSR, w *pruneWorker, chunk int, fn func(u int32, nbr []int32, wts []float64)) error {
 	lo, hi := chunkBounds(chunk, g.NumProfiles)
 	for u := lo; u < hi; u++ {
-		base, end := g.Offsets[u], g.Offsets[u+1]
-		if base == end {
+		if g.Offsets[u] == g.Offsets[u+1] {
 			continue
 		}
 		nbr, wts := g.Run(u)
-		for p := base; p < end; {
-			seg := end - p
-			if seg > streamCancelCheckEdges {
-				seg = streamCancelCheckEdges
-			}
-			for stop := p + seg; p < stop; p++ {
-				if v := nbr[p-base]; int(v) > u {
-					fn(int32(u), v, p, wts[p-base])
-				}
-			}
-			if err := w.tick(int(seg)); err != nil {
+		i, _ := slices.BinarySearch(nbr, int32(u)+1)
+		for i < len(nbr) {
+			j := min(len(nbr), i+streamCancelCheckEdges)
+			fn(int32(u), nbr[i:j], wts[i:j])
+			if err := w.tick(j - i); err != nil {
 				return err
 			}
+			i = j
 		}
 	}
 	return nil
 }
 
-// emitChunked runs a chunked retention pass: keep decides each positive-
-// weight canonical edge, per-chunk buffers collect the retained pairs,
-// and the buffers are stitched in chunk order (= canonical order).
-func emitChunked(ctx context.Context, g *graph.CSR, workers int, keep func(u, v int32, p int64, wt float64) bool) ([]model.IDPair, error) {
-	nch := numChunks(g.NumProfiles)
-	bufs := make([][]model.IDPair, nch)
-	err := runChunks(ctx, workers, nch, func(w *pruneWorker, chunk int) error {
-		var out []model.IDPair
-		err := forChunkCanonical(g, w, chunk, func(u, v int32, p int64, wt float64) {
-			if wt > 0 && keep(u, v, p, wt) {
-				out = append(out, model.IDPair{U: u, V: v})
-			}
-		})
-		bufs[chunk] = out
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return stitchPairs(bufs), nil
-}
-
 // stitchPairs concatenates per-chunk pair buffers in chunk order into an
-// exactly sized slice (nil when nothing was retained, matching the
-// serial schemes).
+// exactly sized slice (nil when nothing was retained).
 func stitchPairs(bufs [][]model.IDPair) []model.IDPair {
 	total := 0
 	for _, b := range bufs {
@@ -241,54 +217,4 @@ func stitchPairs(bufs [][]model.IDPair) []model.IDPair {
 		out = append(out, b...)
 	}
 	return out
-}
-
-// chunkPartialSums computes, per chunk, the sum of the canonical edge
-// weights owned by the chunk plus the number of canonical edges it
-// holds. The chunk sum is itself associated per row: each smaller-
-// endpoint row is summed left to right into its own partial, and the
-// row partials fold in ascending row order. Combined in chunk order by
-// combinePartials, the result is THE canonical edge-weight sum of the
-// graph — a partitioned server refolds the identical total from
-// exchanged per-row sums (see RowWeightSums).
-func chunkPartialSums(ctx context.Context, g *graph.CSR, workers int) (sums []float64, counts []int64, err error) {
-	nch := numChunks(g.NumProfiles)
-	sums = make([]float64, nch)
-	counts = make([]int64, nch)
-	err = runChunks(ctx, workers, nch, func(w *pruneWorker, chunk int) error {
-		s, n := 0.0, int64(0)
-		rowSum, row := 0.0, int32(-1)
-		err := forChunkCanonical(g, w, chunk, func(u, _ int32, _ int64, wt float64) {
-			if u != row {
-				if row >= 0 {
-					s += rowSum
-				}
-				rowSum, row = 0, u
-			}
-			rowSum += wt
-			n++
-		})
-		if row >= 0 {
-			s += rowSum
-		}
-		sums[chunk], counts[chunk] = s, n
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return sums, counts, nil
-}
-
-// combinePartials folds per-chunk partial sums in ascending chunk order,
-// skipping chunks that hold no edges — the fixed reduction shape that
-// FoldRowSums reproduces from exchanged per-row sums.
-func combinePartials(sums []float64, counts []int64) float64 {
-	total := 0.0
-	for i, s := range sums {
-		if counts[i] > 0 {
-			total += s
-		}
-	}
-	return total
 }

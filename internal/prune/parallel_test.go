@@ -1,8 +1,9 @@
 package prune
 
 // Tests of the parallel, scratch-free pruning passes: the worker-count
-// determinism contract (byte-identical output for every Workers value),
-// the histogram-cut selection against the sort it replaced, the CEP
+// and shard-count determinism contract (byte-identical decisions for
+// every Workers value and for owned-rows parties deciding through the
+// exchange), the histogram-cut selection against a sort, the CEP
 // tie-at-the-cut boundaries, and the edge-granular cancellation
 // contract (polls proportional to edges, not nodes, even inside one
 // adjacency run).
@@ -11,13 +12,16 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"blast/internal/blocking"
 	"blast/internal/graph"
 	"blast/internal/model"
+	"blast/internal/shard"
 	"blast/internal/stats"
 	"blast/internal/weights"
 )
@@ -83,30 +87,204 @@ func referenceCEP(edges []wedge, k int) []model.IDPair {
 // including ones exceeding the chunk count of small graphs.
 var pruneWorkersAxis = []int{0, 1, 2, 3, 4, 7}
 
-// runAllSchemes executes every streaming scheme at one worker count.
-func runAllSchemes(t *testing.T, ctx context.Context, csr *graph.CSR, workers int) map[string][]model.IDPair {
+// pruneMatrix names the schemes and knobs of the determinism matrix.
+var pruneMatrix = []struct {
+	name string
+	p    Params
+}{
+	{"wep", Params{Pruning: WEP}},
+	{"cep", Params{Pruning: CEP}},
+	{"cep5", Params{Pruning: CEP, K: 5}},
+	{"wnp1", Params{Pruning: WNP1}},
+	{"wnp2", Params{Pruning: WNP2}},
+	{"cnp1", Params{Pruning: CNP1}},
+	{"cnp2", Params{Pruning: CNP2}},
+	{"blast", Params{Pruning: BlastWNP, C: 2, D: 2}},
+	{"blast41", Params{Pruning: BlastWNP, C: 4, D: 1}},
+}
+
+// decided is one whole-graph decision: its retained pairs and theta.
+type decided struct {
+	pairs []model.IDPair
+	theta []float64
+}
+
+// decideAll makes every matrix decision over the whole graph at one
+// worker count.
+func decideAll(t *testing.T, ctx context.Context, csr *graph.CSR, workers int) []decided {
 	t.Helper()
-	must := muster(t)
-	out := map[string][]model.IDPair{
-		"wep":     must(WEPStream(ctx, csr, workers)),
-		"cep":     must(CEPStream(ctx, csr, 0, workers)),
-		"cep5":    must(CEPStream(ctx, csr, 5, workers)),
-		"wnp1":    must(WNPStream(ctx, csr, Redefined, workers)),
-		"wnp2":    must(WNPStream(ctx, csr, Reciprocal, workers)),
-		"cnp1":    must(CNPStream(ctx, csr, 0, Redefined, workers)),
-		"cnp2":    must(CNPStream(ctx, csr, 0, Reciprocal, workers)),
-		"blast":   must(BlastWNPStream(ctx, csr, 2, 2, workers)),
-		"blast41": must(BlastWNPStream(ctx, csr, 4, 1, workers)),
+	out := make([]decided, len(pruneMatrix))
+	for i, m := range pruneMatrix {
+		p := m.p
+		p.Workers = workers
+		dec, err := Decide(ctx, csr, p, csr.NumEdges(), OneGraph{})
+		if err != nil {
+			t.Fatalf("%s workers=%d: %v", m.name, workers, err)
+		}
+		pairs, err := Emit(ctx, csr, workers, dec.Keep)
+		if err != nil {
+			t.Fatalf("%s workers=%d: %v", m.name, workers, err)
+		}
+		out[i] = decided{pairs, dec.Theta}
 	}
 	return out
 }
 
-// TestPruneParallelMatchesSerial is the determinism matrix of the
-// tentpole: for every scheme and worker count, the parallel pruning
-// output must be byte-identical to the serial streaming scheme, and the
-// exported per-node thresholds must match entry for entry.
+// sameBits reports whether two threshold vectors are bit-identical
+// (nil only matches nil).
+func sameBits(a, b []float64) bool {
+	if (a == nil) != (b == nil) || len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// ownedRowsOf returns the owned-rows form of a weighted whole graph:
+// full-length Offsets, the runs (and weights) of the owned rows only,
+// and the global block counts — what graph.BuildCSR with owns plus a
+// weighting with the global degrees yields.
+func ownedRowsOf(whole *graph.CSR, owns func(int32) bool) *graph.CSR {
+	g := &graph.CSR{
+		NumProfiles: whole.NumProfiles,
+		Offsets:     make([]int64, whole.NumProfiles+1),
+		BlockCounts: whole.BlockCounts,
+	}
+	for u := 0; u < whole.NumProfiles; u++ {
+		if owns(int32(u)) {
+			nbr, wts := whole.Run(u)
+			g.Neighbors = append(g.Neighbors, nbr...)
+			g.Weights = append(g.Weights, wts...)
+		}
+		g.Offsets[u+1] = int64(len(g.Neighbors))
+	}
+	return g
+}
+
+// checkShards makes decision p through parts concurrent parties over a
+// shard.Exchange — party i holding build(owns_i), the weighted
+// owned-rows CSR of shard i — and requires the union of their MarkOwned
+// masks, their merged theta and their mark total to equal the one-graph
+// decision over whole.
+func checkShards(t *testing.T, label string, whole *graph.CSR, p Params, parts int, build func(owns func(int32) bool) *graph.CSR) {
+	t.Helper()
+	ctx := context.Background()
+	want, err := Decide(ctx, whole, p, whole.NumEdges(), OneGraph{})
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	wantMask, wantMarks, err := MarkOwned(ctx, whole, p.Workers, want.Keep)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	type party struct {
+		g     *graph.CSR
+		mask  []bool
+		marks int64
+		theta []float64
+		err   error
+	}
+	res := make([]party, parts)
+	ex := shard.NewExchange(parts)
+	var wg sync.WaitGroup
+	for i := range res {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			r := &res[i]
+			r.g = build(func(u int32) bool { return shard.Owner(u, parts) == i })
+			agg := shard.NewAggregate(ex, i, parts, whole.NumProfiles)
+			dec, err := Decide(ctx, r.g, p, whole.NumEdges(), agg)
+			if err == nil {
+				r.theta = dec.Theta
+				r.mask, r.marks, err = MarkOwned(ctx, r.g, p.Workers, dec.Keep)
+			}
+			if err != nil {
+				r.err = err
+				ex.Poison(err) // release peers blocked in a round
+			}
+		}(i)
+	}
+	wg.Wait()
+	total := int64(0)
+	for i, r := range res {
+		if r.err != nil {
+			t.Fatalf("%s parts=%d shard %d: %v", label, parts, i, r.err)
+		}
+		if !sameBits(r.theta, want.Theta) {
+			t.Fatalf("%s parts=%d shard %d: merged theta differs from the one-graph theta", label, parts, i)
+		}
+		for u := 0; u < whole.NumProfiles; u++ {
+			if shard.Owner(int32(u), parts) != i {
+				continue
+			}
+			lo, hi := r.g.Offsets[u], r.g.Offsets[u+1]
+			wlo, whi := whole.Offsets[u], whole.Offsets[u+1]
+			if hi-lo != whi-wlo || !slices.Equal(r.mask[lo:hi], wantMask[wlo:whi]) {
+				t.Fatalf("%s parts=%d shard %d: row %d mask differs from the one-graph mask", label, parts, i, u)
+			}
+		}
+		total += r.marks
+	}
+	if total != wantMarks {
+		t.Fatalf("%s parts=%d: %d marks over all shards, one graph has %d", label, parts, total, wantMarks)
+	}
+}
+
+// crossingOwner returns the shard owning CEP's crossing row — the row
+// holding the last tie the budget k (<= 0: the default) takes — when
+// the budget splits the ties at the cut, and -1 when it does not. It
+// is computed from the plain edge list, independently of the pruning
+// code.
+func crossingOwner(whole *graph.CSR, k, parts int) int {
+	l := edgeListOf(whole)
+	if k <= 0 {
+		k = CEPBudget(l.counts)
+	}
+	if k = min(k, len(l.edges)); k <= 0 {
+		return -1
+	}
+	ws := make([]float64, len(l.edges))
+	for i, e := range l.edges {
+		ws[i] = e.Weight
+	}
+	sort.Sort(sort.Reverse(sort.Float64Slice(ws)))
+	cut, greater, ties := ws[k-1], 0, 0
+	for _, w := range ws {
+		if w > cut {
+			greater++
+		} else if w == cut {
+			ties++
+		}
+	}
+	rem := k - greater
+	if rem <= 0 || rem >= ties {
+		return -1
+	}
+	for _, e := range l.edges {
+		if e.Weight == cut {
+			if rem--; rem == 0 {
+				return shard.Owner(e.U, parts)
+			}
+		}
+	}
+	return -1
+}
+
+// TestPruneParallelMatchesSerial is the determinism matrix: for every
+// scheme and worker count the retained pairs and theta must be
+// byte-identical to the serial decision, and for every shard count
+// 1-4 the decision made through the exchange by owned-rows parties must
+// equal the one-graph decision (see checkShards). CBS weights make CEP
+// split tie groups; at least one case must find its crossing row on a
+// shard other than 0.
 func TestPruneParallelMatchesSerial(t *testing.T) {
 	ctx := context.Background()
+	crossedOffZero := 0
 	for seed := uint64(1); seed <= 6; seed++ {
 		rng := stats.NewRNG(seed * 104729)
 		for _, kind := range []model.Kind{model.Dirty, model.CleanClean} {
@@ -116,37 +294,47 @@ func TestPruneParallelMatchesSerial(t *testing.T) {
 				{Kind: weights.ChiSquared, Entropy: true},
 			} {
 				csr := weighted(c, s)
-				serial := runAllSchemes(t, ctx, csr, 1)
-				serialMean, _ := MeanThresholds(ctx, csr, 1)
-				serialBlast, _ := BlastThresholds(ctx, csr, 2, 1)
-				for _, workers := range pruneWorkersAxis[1:] {
-					got := runAllSchemes(t, ctx, csr, workers)
-					for name, want := range serial {
-						label := fmt.Sprintf("seed=%d kind=%v %s %s workers=%d", seed, kind, s.Name(), name, workers)
-						comparePairs(t, label, want, got[name])
-					}
-					gotMean, _ := MeanThresholds(ctx, csr, workers)
-					gotBlast, _ := BlastThresholds(ctx, csr, 2, workers)
-					for i := range serialMean {
-						if serialMean[i] != gotMean[i] || serialBlast[i] != gotBlast[i] {
-							t.Fatalf("workers=%d: threshold %d drifted: mean %v vs %v, blast %v vs %v",
-								workers, i, gotMean[i], serialMean[i], gotBlast[i], serialBlast[i])
+				serial := decideAll(t, ctx, csr, 1)
+				for _, workers := range pruneWorkersAxis {
+					got := decideAll(t, ctx, csr, workers)
+					for i, m := range pruneMatrix {
+						label := fmt.Sprintf("seed=%d kind=%v %s %s workers=%d", seed, kind, s.Name(), m.name, workers)
+						comparePairs(t, label, serial[i].pairs, got[i].pairs)
+						if !sameBits(serial[i].theta, got[i].theta) {
+							t.Fatalf("%s: theta drifted from the serial decision", label)
 						}
 					}
 				}
-				// Workers=0 (GOMAXPROCS) is part of the contract too.
-				got := runAllSchemes(t, ctx, csr, 0)
-				for name, want := range serial {
-					comparePairs(t, fmt.Sprintf("seed=%d %s workers=0", seed, name), want, got[name])
+				build := func(owns func(int32) bool) *graph.CSR {
+					g, err := graph.BuildCSR(ctx, c, owns, 1)
+					if err != nil {
+						panic(err)
+					}
+					s.ApplyCSR(g, csr.Degrees(), csr.NumEdges(), 1)
+					return g
+				}
+				for parts := 1; parts <= 4; parts++ {
+					for _, m := range pruneMatrix {
+						p := m.p
+						p.Workers = 2
+						label := fmt.Sprintf("seed=%d kind=%v %s %s", seed, kind, s.Name(), m.name)
+						checkShards(t, label, csr, p, parts, build)
+						if p.Pruning == CEP && crossingOwner(csr, p.K, parts) > 0 {
+							crossedOffZero++
+						}
+					}
 				}
 			}
 		}
 	}
+	if crossedOffZero == 0 {
+		t.Error("no CEP case split its tie group on a crossing row owned by a shard other than 0")
+	}
 }
 
-// TestSelectCutMatchesSort pins the histogram-cut selection against the
-// flat sort it replaced, on weight distributions with heavy ties,
-// negatives, zeros and denormal-scale values.
+// TestSelectCutMatchesSort pins the histogram-cut selection — cutScan
+// driven by countCutHist — against a flat sort, on weight distributions
+// with heavy ties, negatives, zeros and denormal-scale values.
 func TestSelectCutMatchesSort(t *testing.T) {
 	ctx := context.Background()
 	rng := stats.NewRNG(271828)
@@ -190,13 +378,22 @@ func TestSelectCutMatchesSort(t *testing.T) {
 					}
 				}
 				for _, workers := range []int{1, 3} {
-					cut, greater, ties, err := selectCut(ctx, csr, workers, k)
-					if err != nil {
-						t.Fatal(err)
+					cs := newCutScan(k)
+					for steps := 1; ; steps++ {
+						counts, kmin, kmax, err := countCutHist(ctx, csr, workers, cs.prefix, cs.shift)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if cs.step(counts, kmin, kmax) {
+							break
+						}
+						if steps == 4 {
+							t.Fatalf("pool %d k=%d: the scan did not resolve in four steps", pi, k)
+						}
 					}
-					if cut != wantCut || greater != wantGreater || ties != wantTies {
-						t.Fatalf("pool %d k=%d workers=%d: selectCut = (%v, %d, %d), want (%v, %d, %d)",
-							pi, k, workers, cut, greater, ties, wantCut, wantGreater, wantTies)
+					if cs.cut != wantCut || cs.greater != wantGreater || cs.ties != wantTies {
+						t.Fatalf("pool %d k=%d workers=%d: cut scan = (%v, %d, %d), want (%v, %d, %d)",
+							pi, k, workers, cs.cut, cs.greater, cs.ties, wantCut, wantGreater, wantTies)
 					}
 				}
 			}
@@ -206,9 +403,9 @@ func TestSelectCutMatchesSort(t *testing.T) {
 
 // TestCEPTieBoundaries is the tie-at-the-cut regression suite: the rem
 // budget accounting must stay byte-identical across the textbook CEP,
-// the serial stream and every parallel worker count when many edges tie
-// exactly at the cut, when the ties sit at weight 0, and when k exceeds
-// the positive-weight edge count.
+// the serial decision, every parallel worker count and every shard
+// count when many edges tie exactly at the cut, when the ties sit at
+// weight 0, and when k exceeds the positive-weight edge count.
 func TestCEPTieBoundaries(t *testing.T) {
 	ctx := context.Background()
 	must := muster(t)
@@ -236,19 +433,24 @@ func TestCEPTieBoundaries(t *testing.T) {
 	for _, tc := range cases {
 		edges := mk(tc.ws...)
 		csr := csrFromEdges(len(edges)+1, edges)
+		build := func(owns func(int32) bool) *graph.CSR { return ownedRowsOf(csr, owns) }
 		for _, k := range tc.ks {
 			want := referenceCEP(edges, k)
 			for _, workers := range []int{1, 2, 4} {
-				got := must(CEPStream(ctx, csr, k, workers))
-				comparePairs(t, fmt.Sprintf("%s k=%d workers=%d", tc.name, k, workers), want, got)
+				p := Params{Pruning: CEP, K: k, Workers: workers}
+				comparePairs(t, fmt.Sprintf("%s k=%d workers=%d", tc.name, k, workers), want, must(prunePairs(ctx, csr, p)))
+			}
+			for parts := 1; parts <= 4; parts++ {
+				checkShards(t, fmt.Sprintf("%s k=%d", tc.name, k), csr, Params{Pruning: CEP, K: k, Workers: 1}, parts, build)
 			}
 		}
 	}
 }
 
 // TestReducersMatchWholeRun pins the segmented (cancellation-polling)
-// reducers to their whole-run counterparts bit for bit, on runs longer
-// than the poll stride — the arithmetic order must not change.
+// reducers to a whole-run reduction bit for bit, on runs longer than
+// the poll stride — the arithmetic order must not change — and the
+// NodeRule reducers an incremental writer applies to the same ones.
 func TestReducersMatchWholeRun(t *testing.T) {
 	rng := stats.NewRNG(17)
 	w := &pruneWorker{ctx: context.Background(), budget: streamCancelCheckEdges}
@@ -257,15 +459,25 @@ func TestReducersMatchWholeRun(t *testing.T) {
 		for i := range ws {
 			ws[i] = rng.Float64() * float64(i%13)
 		}
-		if got, _ := meanReducer(w, ws); got != MeanThresholdOf(ws) {
-			t.Fatalf("n=%d: meanReducer = %v, want %v", n, got, MeanThresholdOf(ws))
+		sum, mx := 0.0, ws[0]
+		for _, x := range ws {
+			sum += x
+			mx = max(mx, x)
+		}
+		if got, _ := meanReducer(w, ws); got != sum/float64(n) {
+			t.Fatalf("n=%d: meanReducer = %v, want %v", n, got, sum/float64(n))
+		}
+		if got := wholeRun(meanReducer)(ws); got != sum/float64(n) {
+			t.Fatalf("n=%d: whole-run mean = %v, want %v", n, got, sum/float64(n))
 		}
 		for _, c := range []float64{1, 2, 4} {
-			red := blastReducer(c)
-			if got, _ := red(w, ws); got != BlastThresholdOf(ws, c) {
-				t.Fatalf("n=%d c=%v: blastReducer = %v, want %v", n, c, got, BlastThresholdOf(ws, c))
+			if got, _ := blastReducer(c)(w, ws); got != mx/c {
+				t.Fatalf("n=%d c=%v: blastReducer = %v, want %v", n, c, got, mx/c)
 			}
 		}
+	}
+	if wholeRun(meanReducer)(nil) != 0 || wholeRun(blastReducer(2))(nil) != 0 {
+		t.Error("an empty run must reduce to 0")
 	}
 }
 
@@ -299,6 +511,16 @@ func denseCSR(n int) *graph.CSR {
 	return csr
 }
 
+// decideFn returns a pass that makes decision p over csr and emits its
+// pairs, for the cancellation probes.
+func decideFn(csr *graph.CSR, p Params) func(ctx context.Context, workers int) error {
+	return func(ctx context.Context, workers int) error {
+		p.Workers = workers
+		_, err := prunePairs(ctx, csr, p)
+		return err
+	}
+}
+
 // TestCancellationPollsPerEdge asserts the edge-granular polling
 // contract: on a dense graph whose node count fits well under the old
 // 1024-node polling stride (which would have polled exactly once), the
@@ -320,33 +542,28 @@ func TestCancellationPollsPerEdge(t *testing.T) {
 		}
 	}
 	run("thresholds", func(ctx context.Context) error {
-		_, err := MeanThresholds(ctx, csr, 1)
+		_, err := rowThresholds(ctx, csr, 1, meanReducer)
 		return err
 	})
-	run("cnp", func(ctx context.Context) error {
-		_, err := CNPStream(ctx, csr, 3, Redefined, 1)
+	run("marks", func(ctx context.Context) error {
+		_, _, err := rowTopKMarks(ctx, csr, 3, 1)
 		return err
 	})
-	run("cep", func(ctx context.Context) error {
-		_, err := CEPStream(ctx, csr, 100, 1)
+	run("mark-owned", func(ctx context.Context) error {
+		_, _, err := MarkOwned(ctx, csr, 1, func(_, _ int32, _ float64) bool { return true })
 		return err
 	})
-	run("wep", func(ctx context.Context) error {
-		_, err := WEPStream(ctx, csr, 1)
-		return err
-	})
+	for _, p := range []Params{{Pruning: CNP1, K: 3}, {Pruning: CEP, K: 100}, {Pruning: WEP}} {
+		fn := decideFn(csr, p)
+		run(p.Pruning.String(), func(ctx context.Context) error { return fn(ctx, 1) })
+	}
 
 	// And the abort side: once the context reports cancellation, every
 	// pass must surface it instead of completing.
-	for name, fn := range map[string]func(ctx context.Context) error{
-		"thresholds": func(ctx context.Context) error { _, err := BlastThresholds(ctx, csr, 2, 1); return err },
-		"cnp":        func(ctx context.Context) error { _, err := CNPStream(ctx, csr, 3, Reciprocal, 1); return err },
-		"cep":        func(ctx context.Context) error { _, err := CEPStream(ctx, csr, 100, 1); return err },
-		"blast":      func(ctx context.Context) error { _, err := BlastWNPStream(ctx, csr, 2, 2, 1); return err },
-	} {
+	for _, p := range []Params{{Pruning: BlastWNP, C: 2, D: 2}, {Pruning: CNP2, K: 3}, {Pruning: CEP, K: 100}, {Pruning: WNP1}} {
 		ctx := &pollCountCtx{Context: context.Background(), failAfter: 2}
-		if err := fn(ctx); err != context.Canceled {
-			t.Errorf("%s: err = %v after forced cancellation, want context.Canceled", name, err)
+		if err := decideFn(csr, p)(ctx, 1); err != context.Canceled {
+			t.Errorf("%v: err = %v after forced cancellation, want context.Canceled", p.Pruning, err)
 		}
 	}
 }
@@ -360,17 +577,13 @@ func TestCancellationTinyGraph(t *testing.T) {
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for name, fn := range map[string]func() error{
-		"wep":        func() error { _, err := WEPStream(ctx, csr, 1); return err },
-		"cep":        func() error { _, err := CEPStream(ctx, csr, 2, 1); return err },
-		"wnp1":       func() error { _, err := WNPStream(ctx, csr, Redefined, 1); return err },
-		"cnp1":       func() error { _, err := CNPStream(ctx, csr, 1, Redefined, 1); return err },
-		"blast":      func() error { _, err := BlastWNPStream(ctx, csr, 2, 2, 1); return err },
-		"thresholds": func() error { _, err := MeanThresholds(ctx, csr, 1); return err },
-	} {
-		if err := fn(); err != context.Canceled {
-			t.Errorf("%s: err = %v on a tiny graph with a cancelled ctx, want context.Canceled", name, err)
+	for _, p := range []Params{{Pruning: WEP}, {Pruning: CEP, K: 2}, {Pruning: WNP1}, {Pruning: CNP1, K: 1}, {Pruning: BlastWNP, C: 2, D: 2}} {
+		if err := decideFn(csr, p)(ctx, 1); err != context.Canceled {
+			t.Errorf("%v: err = %v on a tiny graph with a cancelled ctx, want context.Canceled", p.Pruning, err)
 		}
+	}
+	if _, err := rowThresholds(ctx, csr, 1, meanReducer); err != context.Canceled {
+		t.Errorf("thresholds: err = %v on a tiny graph with a cancelled ctx, want context.Canceled", err)
 	}
 }
 
@@ -389,28 +602,22 @@ func hubCSR(n int) *graph.CSR {
 	return csr
 }
 
-// TestCancellationHubRace is the -race cancellation test of the
-// satellite: concurrent cancellation against every scheme on a
-// hub-heavy graph whose hub run exceeds the poll stride. The schemes
-// must return ctx.Err() (from whatever pass observes it) without
-// panicking, racing or deadlocking; in-run polling is exercised because
-// the hub's run alone exceeds streamCancelCheckEdges.
+// TestCancellationHubRace is the -race cancellation test: concurrent
+// cancellation against every scheme on a hub-heavy graph whose hub run
+// exceeds the poll stride. The decisions must return ctx.Err() (from
+// whatever pass observes it) without panicking, racing or deadlocking;
+// in-run polling is exercised because the hub's run alone exceeds
+// streamCancelCheckEdges.
 func TestCancellationHubRace(t *testing.T) {
 	csr := hubCSR(2*streamCancelCheckEdges + 100)
-	schemes := map[string]func(ctx context.Context, workers int) error{
-		"wep":   func(ctx context.Context, w int) error { _, err := WEPStream(ctx, csr, w); return err },
-		"cep":   func(ctx context.Context, w int) error { _, err := CEPStream(ctx, csr, 1000, w); return err },
-		"wnp1":  func(ctx context.Context, w int) error { _, err := WNPStream(ctx, csr, Redefined, w); return err },
-		"cnp2":  func(ctx context.Context, w int) error { _, err := CNPStream(ctx, csr, 2, Reciprocal, w); return err },
-		"blast": func(ctx context.Context, w int) error { _, err := BlastWNPStream(ctx, csr, 2, 2, w); return err },
-	}
-	for name, fn := range schemes {
+	for _, p := range []Params{{Pruning: WEP}, {Pruning: CEP, K: 1000}, {Pruning: WNP1}, {Pruning: CNP2, K: 2}, {Pruning: BlastWNP, C: 2, D: 2}} {
+		fn := decideFn(csr, p)
 		for _, workers := range []int{1, 4} {
 			// Pre-cancelled: must fail fast with no output.
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			if err := fn(ctx, workers); err != context.Canceled {
-				t.Errorf("%s workers=%d: pre-cancelled err = %v", name, workers, err)
+				t.Errorf("%v workers=%d: pre-cancelled err = %v", p.Pruning, workers, err)
 			}
 			// Cancelled mid-flight from another goroutine (the -race
 			// exercise): the pass must terminate either way, and any
@@ -420,7 +627,7 @@ func TestCancellationHubRace(t *testing.T) {
 			go func() { done <- fn(ctx2, workers) }()
 			cancel2()
 			if err := <-done; err != nil && err != context.Canceled {
-				t.Errorf("%s workers=%d: mid-flight err = %v", name, workers, err)
+				t.Errorf("%v workers=%d: mid-flight err = %v", p.Pruning, workers, err)
 			}
 		}
 	}

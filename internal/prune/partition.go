@@ -1,36 +1,25 @@
-// Distributed pruning primitives for partitioned sharding. A
-// partitioned shard holds an owned-rows CSR (graph.BuildCSR with owns):
-// full-length Offsets, adjacency runs only for the rows it owns. The
-// global pruning decisions — WEP's mean, CEP's cut, the node-centric
-// thresholds and top-k marks of the rows a canonical edge touches — are
-// resolved by exchanging the compact per-row aggregates below in
-// deterministic shard order and refolding them with the exact reduction
-// shapes of the whole-graph schemes, so the union of every shard's
-// retention marks is byte-identical to the single-graph streaming
-// scheme:
+// The per-row passes behind Decide. Each runs over the rows whose runs
+// the CSR holds — every row of a whole graph, the owned rows of a
+// partitioned shard's owned-rows CSR (graph.BuildCSR with owns: full-
+// length Offsets, adjacency runs only for owned rows) — and yields
+// per-row values an Aggregator merges by ownership, or histograms it
+// folds commutatively. Because an owned row's run is its node's complete
+// adjacency, every node-local input (a threshold, a top-k mark list) is
+// computed whole by the row's one owner, and the merged aggregates
+// reproduce the exact reduction shapes of a whole-graph pass:
 //
-//   - WEP:  per-row weight sums + counts (RowWeightSums), refolded row-
-//     within-chunk, chunk order (FoldRowSums) → the identical theta.
-//   - CEP:  per-shard counting histograms (CountCutHist, select.go)
-//     merged commutatively, one CutScan step per round; partial tie
-//     budgets settle via per-row tie counts (RowTieCounts) prefix-
-//     summed into global tie ordinals, and the shards exchange the
-//     resulting taken-tie pair set (CEPTakenTies) so every owner can
-//     mark ties on both entry orientations.
-//   - WNP / BlastWNP: per-node thresholds are row-local (an owned row
-//     carries its node's complete adjacency), so shards exchange their
-//     owned rows of the threshold vector (MeanThresholds,
-//     BlastThresholds) and mark against the merged one.
-//   - CNP:  per-row top-k marked-neighbor lists (RowTopKMarks), merged
-//     into one global list; retention consults both endpoints' lists by
-//     binary search, equivalent to the mirror-entry probe of CNPStream.
+//   - WEP:  per-row weight sums and counts (rowWeightSums), refolded
+//     row-within-chunk, chunk order (FoldRowSums) → the mean.
+//   - CEP:  counting histograms (countCutHist, select.go), one cutScan
+//     step per fold; a partial tie budget settles by the crossing row
+//     of the per-row tie counts (rowTieCounts, see crossingRow).
+//   - WNP / BlastWNP: per-node thresholds (rowThresholds).
+//   - CNP:  per-row top-k marked-neighbor lists (rowTopKMarks); an edge
+//     consults both endpoints' lists by binary search.
 //
-// The final retention mask is produced by MarkOwned: every entry of an
-// owned row — both orientations, so a row's served candidates are
-// complete — is decided by a keep predicate closed over the globally
-// merged aggregates. Because each row's run is its node's full
-// adjacency, each owner can decide every entry it holds locally once
-// the aggregates are merged; no per-edge exchange is ever needed.
+// The retention mask of the held rows is MarkOwned's: every entry, in
+// both orientations, decided by the merged decision's Keep, so each
+// party decides every entry it holds without any per-edge exchange.
 package prune
 
 import (
@@ -38,34 +27,23 @@ import (
 	"slices"
 
 	"blast/internal/graph"
-	"blast/internal/model"
 )
 
-// CEPBudget is CEP's default comparison budget (k <= 0): half the total
-// number of block memberships. Exported for partitioned servers, which
-// must resolve the budget from the (globally replicated) block counts
-// before driving the distributed selection.
-func CEPBudget(blockCounts []int32) int { return cepBudget(blockCounts) }
-
-// CNPBudget is CNP's default per-node budget (k <= 0): the average
-// number of blocks per profile over the profiles appearing in at least
-// one block, 0 when none does. Exported for the same reason as
-// CEPBudget; RowTopKMarks also resolves it internally.
-func CNPBudget(blockCounts []int32) int { return cnpBudget(blockCounts) }
-
-// RowWeightSums computes, per row, the left-to-right weight sum and
+// rowWeightSums computes, per row, the left-to-right weight sum and
 // count of the canonical entries whose smaller endpoint is the row.
 // Over an owned-rows CSR only owned rows are populated; the per-shard
 // vectors of a partitioned server are disjoint, so scattering them by
 // ownership (in any shard order) yields the whole graph's row vectors.
-func RowWeightSums(ctx context.Context, g *graph.CSR, workers int) (sums []float64, counts []int64, err error) {
+func rowWeightSums(ctx context.Context, g *graph.CSR, workers int) (sums []float64, counts []int64, err error) {
 	sums = make([]float64, g.NumProfiles)
 	counts = make([]int64, g.NumProfiles)
 	err = runChunks(ctx, workers, numChunks(g.NumProfiles), func(w *pruneWorker, chunk int) error {
 		// Chunks own disjoint row ranges, so these writes never race.
-		return forChunkCanonical(g, w, chunk, func(u, _ int32, _ int64, wt float64) {
-			sums[u] += wt
-			counts[u]++
+		return forChunkCanonical(g, w, chunk, func(u int32, _ []int32, wts []float64) {
+			for _, wt := range wts {
+				sums[u] += wt
+			}
+			counts[u] += int64(len(wts))
 		})
 	})
 	if err != nil {
@@ -74,12 +52,13 @@ func RowWeightSums(ctx context.Context, g *graph.CSR, workers int) (sums []float
 	return sums, counts, nil
 }
 
-// FoldRowSums folds whole-graph per-row weight sums with the fixed
-// row-within-chunk reduction of chunkPartialSums + combinePartials:
-// rows with at least one canonical entry fold in ascending row order
-// into per-chunk partials, chunk partials combine in chunk order. The
-// total is bit-identical to the streaming WEP's numerator, and edges is
-// the graph's canonical edge count (= NumEdges of the whole graph).
+// FoldRowSums folds whole-graph per-row weight sums with a fixed
+// reduction shape: rows with at least one canonical entry fold in
+// ascending row order into per-chunk partials (chunks of chunkNodes
+// rows), and the chunk partials combine in chunk order. The shape
+// depends only on the rows, never on the worker or shard count, so the
+// total is bit-identical however the row sums were produced; edges is
+// the graph's canonical edge count.
 func FoldRowSums(sums []float64, counts []int64) (total float64, edges int64) {
 	chunk := -1
 	partial := 0.0
@@ -87,7 +66,7 @@ func FoldRowSums(sums []float64, counts []int64) (total float64, edges int64) {
 		if counts[u] == 0 {
 			// Rows without canonical entries never contribute a fold —
 			// skipping them (rather than adding their 0) is what keeps
-			// the reconstruction exact even for signed zeros.
+			// the reduction exact even for signed zeros.
 			continue
 		}
 		edges += counts[u]
@@ -105,16 +84,17 @@ func FoldRowSums(sums []float64, counts []int64) (total float64, edges int64) {
 	return total, edges
 }
 
-// RowTieCounts computes, per row, how many of the row's canonical
-// entries carry exactly the cut weight — the per-row decomposition of
-// CEPStream's per-chunk tie counts. Prefix sums over the merged whole-
-// graph vector assign every tie its global canonical ordinal.
-func RowTieCounts(ctx context.Context, g *graph.CSR, workers int, cut float64) ([]int64, error) {
+// rowTieCounts computes, per row, how many of the row's canonical
+// entries carry exactly the cut weight. Prefix sums over the merged
+// vector rank every tie in canonical order.
+func rowTieCounts(ctx context.Context, g *graph.CSR, workers int, cut float64) ([]int64, error) {
 	ties := make([]int64, g.NumProfiles)
 	err := runChunks(ctx, workers, numChunks(g.NumProfiles), func(w *pruneWorker, chunk int) error {
-		return forChunkCanonical(g, w, chunk, func(u, _ int32, _ int64, wt float64) {
-			if wt == cut {
-				ties[u]++
+		return forChunkCanonical(g, w, chunk, func(u int32, _ []int32, wts []float64) {
+			for _, wt := range wts {
+				if wt == cut {
+					ties[u]++
+				}
 			}
 		})
 	})
@@ -124,58 +104,20 @@ func RowTieCounts(ctx context.Context, g *graph.CSR, workers int, cut float64) (
 	return ties, nil
 }
 
-// CEPTakenTies collects the canonical pairs of the shard's owned rows
-// that tie exactly at the cut AND fall inside the remaining budget rem,
-// in global canonical tie order. The order is resolved through tieBase
-// — per row, the ordinal of the row's first tie among all the graph's
-// ties (the prefix sum of the merged RowTieCounts) — so on the whole
-// graph this reproduces CEPStream's partial tie pass exactly: a chunk's
-// starting ordinal is its first row's. Ties are collected regardless of
-// weight sign (ordinals count every tying entry, exactly as the stream
-// does; the positive-weight gate lives in the retention mark pass), and
-// the per-shard slices are disjoint and canonically sorted, so merging
-// them in any order yields THE global taken-tie set. Callers with
-// rem >= ties or rem <= 0 need no tie set at all — the cut alone
-// decides (weight >= cut, weight > cut).
-func CEPTakenTies(ctx context.Context, g *graph.CSR, workers int, cut float64, rem int64, tieBase []int64) ([]model.IDPair, error) {
-	nch := numChunks(g.NumProfiles)
-	bufs := make([][]model.IDPair, nch)
-	err := runChunks(ctx, workers, nch, func(w *pruneWorker, chunk int) error {
-		tie, row := int64(0), int32(-1)
-		var out []model.IDPair
-		err := forChunkCanonical(g, w, chunk, func(u, v int32, _ int64, wt float64) {
-			if wt != cut {
-				return
-			}
-			if u != row {
-				tie, row = tieBase[u], u
-			}
-			if tie < rem {
-				out = append(out, model.IDPair{U: u, V: v})
-			}
-			tie++
-		})
-		bufs[chunk] = out
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return stitchPairs(bufs), nil
-}
-
 // MarkOwned runs the retention mark pass over every entry of the
 // graph's populated rows: each positive-weight entry (u, v) — u the row,
 // v the neighbor, in BOTH orientations of every edge the row holds — is
-// decided by keep, and marks counts the entries marked. Over an
-// owned-rows CSR the populated rows are exactly the owned ones, and
-// since each shard's rows are disjoint, summing the per-shard marks
-// counts every retained edge exactly twice (once per endpoint, whoever
-// owns it): the global RetainedPairs is the exchanged sum over two.
-// keep must be a pure function of its arguments and globally merged
-// state, so both owners of an edge decide it identically.
-func MarkOwned(ctx context.Context, g *graph.CSR, workers int, keep func(u, v int32, w float64) bool) (retained []bool, marks int64, err error) {
+// decided by keep (nil marks nothing), and marks counts the entries
+// marked. Over an owned-rows CSR the populated rows are exactly the
+// owned ones, and since each shard's rows are disjoint, summing the
+// per-shard marks counts every retained edge exactly twice (once per
+// endpoint, whoever owns it): the global retained-pair count is the
+// exchanged sum over two.
+func MarkOwned(ctx context.Context, g *graph.CSR, workers int, keep Keep) (retained []bool, marks int64, err error) {
 	retained = make([]bool, g.NumEntries())
+	if keep == nil {
+		return retained, 0, ctx.Err()
+	}
 	nch := numChunks(g.NumProfiles)
 	perChunk := make([]int64, nch)
 	err = runChunks(ctx, workers, nch, func(w *pruneWorker, chunk int) error {
@@ -215,96 +157,145 @@ func MarkOwned(ctx context.Context, g *graph.CSR, workers int, keep func(u, v in
 	return retained, marks, nil
 }
 
-// RowTopKMarks runs CNP's mark pass over the shard's owned rows — each
-// row marks its top-k adjacent entries by weight, stable on the
-// adjacency order, exactly as CNPStream — and returns the marks as
-// per-row neighbor-id lists: ids[offsets[u]:offsets[u+1]] are row u's
-// marked neighbors, ascending (adjacency runs are sorted). k <= 0
-// resolves to CNPBudget of the graph's (global) block counts; a zero
-// budget marks nothing. Owned rows across shards are disjoint, so
-// scattering the lists by ownership rebuilds the whole graph's marks.
-func RowTopKMarks(ctx context.Context, g *graph.CSR, k, workers int) (offsets []int64, ids []int32, err error) {
-	if k <= 0 {
-		k = cnpBudget(g.BlockCounts)
-	}
-	mark := make([]bool, g.NumEntries())
-	if k > 0 {
-		err := runChunks(ctx, workers, numChunks(g.NumProfiles), func(w *pruneWorker, chunk int) error {
-			lo, hi := chunkBounds(chunk, g.NumProfiles)
-			for n := lo; n < hi; n++ {
-				rlo, rhi := g.Offsets[n], g.Offsets[n+1]
-				if rlo == rhi {
-					continue
-				}
-				_, ws := g.Run(n)
-				order := w.order[:0]
-				for p := rlo; p < rhi; {
-					seg := rhi - p
-					if seg > streamCancelCheckEdges {
-						seg = streamCancelCheckEdges
-					}
-					for stop := p + seg; p < stop; p++ {
-						order = append(order, p)
-					}
-					w.order = order
-					if err := w.tick(int(seg)); err != nil {
-						return err
-					}
-				}
-				slices.SortStableFunc(order, func(a, b int64) int {
-					switch wa, wb := ws[a-rlo], ws[b-rlo]; {
-					case wa > wb:
-						return -1
-					case wa < wb:
-						return 1
-					default:
-						return 0
-					}
-				})
-				limit := k
-				if limit > len(order) {
-					limit = len(order)
-				}
-				for _, p := range order[:limit] {
-					mark[p] = true
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-	}
+// rowTopKMarks runs CNP's mark pass over the populated rows — each row
+// marks its top-k adjacent entries by weight, stable on the adjacency
+// order (k >= 1) — and returns the marks as per-row neighbor-id lists:
+// ids[offsets[u]:offsets[u+1]] are row u's marked neighbors, ascending
+// (adjacency runs are sorted). A row marks min(k, its run length)
+// entries, so the offsets are known before the pass and chunks fill
+// disjoint ranges of ids.
+func rowTopKMarks(ctx context.Context, g *graph.CSR, k, workers int) (offsets []int64, ids []int32, err error) {
 	offsets = make([]int64, g.NumProfiles+1)
-	total := 0
-	for _, m := range mark {
-		if m {
-			total++
-		}
-	}
-	ids = make([]int32, 0, total)
 	for n := 0; n < g.NumProfiles; n++ {
-		base, end := g.Offsets[n], g.Offsets[n+1]
-		if base == end {
-			offsets[n+1] = int64(len(ids))
-			continue
-		}
-		nbr, _ := g.Run(n)
-		for p := base; p < end; {
-			seg := end - p
-			if seg > streamCancelCheckEdges {
-				seg = streamCancelCheckEdges
+		offsets[n+1] = offsets[n] + min(int64(k), g.Offsets[n+1]-g.Offsets[n])
+	}
+	ids = make([]int32, offsets[g.NumProfiles])
+	err = runChunks(ctx, workers, numChunks(g.NumProfiles), func(w *pruneWorker, chunk int) error {
+		lo, hi := chunkBounds(chunk, g.NumProfiles)
+		for n := lo; n < hi; n++ {
+			rlo, rhi := g.Offsets[n], g.Offsets[n+1]
+			if rlo == rhi {
+				continue
 			}
-			for stop := p + seg; p < stop; p++ {
-				if mark[p] {
-					ids = append(ids, nbr[p-base])
+			nbr, ws := g.Run(n)
+			order := w.order[:0]
+			for p := rlo; p < rhi; {
+				seg := rhi - p
+				if seg > streamCancelCheckEdges {
+					seg = streamCancelCheckEdges
+				}
+				for stop := p + seg; p < stop; p++ {
+					order = append(order, p-rlo)
+				}
+				w.order = order
+				if err := w.tick(int(seg)); err != nil {
+					return err
 				}
 			}
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
+			slices.SortStableFunc(order, func(a, b int64) int {
+				switch wa, wb := ws[a], ws[b]; {
+				case wa > wb:
+					return -1
+				case wa < wb:
+					return 1
+				default:
+					return 0
+				}
+			})
+			top := order[:offsets[n+1]-offsets[n]]
+			slices.Sort(top)
+			for i, p := range top {
+				ids[offsets[n]+int64(i)] = nbr[p]
 			}
 		}
-		offsets[n+1] = int64(len(ids))
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return offsets, ids, nil
+}
+
+// runReducer reduces one adjacency run to a per-node threshold, polling
+// the worker's cancellation budget between edge segments. Segmentation
+// pauses the loop, it never reorders the arithmetic, so a run reduces
+// to the same bits whatever the segment stride.
+type runReducer func(w *pruneWorker, ws []float64) (float64, error)
+
+// meanReducer is WNP's reducer: the mean adjacent weight, summed in run
+// order.
+func meanReducer(w *pruneWorker, ws []float64) (float64, error) {
+	n := len(ws)
+	s := 0.0
+	for len(ws) > 0 {
+		seg := min(len(ws), streamCancelCheckEdges)
+		for _, x := range ws[:seg] {
+			s += x
+		}
+		ws = ws[seg:]
+		if err := w.tick(seg); err != nil {
+			return 0, err
+		}
+	}
+	return s / float64(n), nil
+}
+
+// blastReducer is BLAST's reducer theta_i = M_i/c (c > 0).
+func blastReducer(c float64) runReducer {
+	return func(w *pruneWorker, ws []float64) (float64, error) {
+		m := ws[0]
+		for len(ws) > 0 {
+			seg := min(len(ws), streamCancelCheckEdges)
+			for _, x := range ws[:seg] {
+				if x > m {
+					m = x
+				}
+			}
+			ws = ws[seg:]
+			if err := w.tick(seg); err != nil {
+				return 0, err
+			}
+		}
+		return m / c, nil
+	}
+}
+
+// wholeRun adapts a reducer to one run read outside any pass (an
+// incremental writer's re-reduction of a spliced run): it never
+// cancels, and an empty run yields 0 exactly as in rowThresholds.
+func wholeRun(reduce runReducer) func(ws []float64) float64 {
+	return func(ws []float64) float64 {
+		if len(ws) == 0 {
+			return 0
+		}
+		th, _ := reduce(&pruneWorker{ctx: context.Background(), budget: streamCancelCheckEdges}, ws)
+		return th
+	}
+}
+
+// rowThresholds reduces each populated row's run, in adjacency
+// (ascending neighbor) order, to its node's threshold; nodes without
+// edges get 0. Chunks write disjoint index ranges and the values are
+// per-node, so the worker count cannot change a single bit.
+func rowThresholds(ctx context.Context, g *graph.CSR, workers int, reduce runReducer) ([]float64, error) {
+	th := make([]float64, g.NumProfiles)
+	err := runChunks(ctx, workers, numChunks(g.NumProfiles), func(w *pruneWorker, chunk int) error {
+		lo, hi := chunkBounds(chunk, g.NumProfiles)
+		for n := lo; n < hi; n++ {
+			if g.Offsets[n] == g.Offsets[n+1] {
+				continue
+			}
+			_, ws := g.Run(n)
+			v, err := reduce(w, ws)
+			if err != nil {
+				return err
+			}
+			th[n] = v
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return th, nil
 }

@@ -29,20 +29,32 @@ func figure1Graph() *graph.CSR {
 	return weighted(blocking.TokenBlocking(datasets.PaperExample()), weights.Scheme{Kind: weights.CBS})
 }
 
+// prunePairs makes the decision of p over the whole graph g and emits
+// the retained pairs — the one-graph pipeline of metablocking.PruneCSR.
+func prunePairs(ctx context.Context, g *graph.CSR, p Params) ([]model.IDPair, error) {
+	dec, err := Decide(ctx, g, p, g.NumEdges(), OneGraph{})
+	if err != nil {
+		return nil, err
+	}
+	return Emit(ctx, g, p.Workers, dec.Keep)
+}
+
 // The pruning schemes, run serially under a background context (which
 // never cancels, so an error is a test bug).
-func wep(g *graph.CSR) []model.IDPair { return mustPairs(WEPStream(context.Background(), g, 1)) }
-func cep(g *graph.CSR, k int) []model.IDPair {
-	return mustPairs(CEPStream(context.Background(), g, k, 1))
+func run(g *graph.CSR, p Params) []model.IDPair {
+	p.Workers = 1
+	return mustPairs(prunePairs(context.Background(), g, p))
 }
-func wnp(g *graph.CSR, mode Mode) []model.IDPair {
-	return mustPairs(WNPStream(context.Background(), g, mode, 1))
-}
-func cnp(g *graph.CSR, k int, mode Mode) []model.IDPair {
-	return mustPairs(CNPStream(context.Background(), g, k, mode, 1))
-}
+func wep(g *graph.CSR) []model.IDPair        { return run(g, Params{Pruning: WEP}) }
+func cep(g *graph.CSR, k int) []model.IDPair { return run(g, Params{Pruning: CEP, K: k}) }
+
+// wnp runs WNP1 or WNP2.
+func wnp(g *graph.CSR, p Pruning) []model.IDPair { return run(g, Params{Pruning: p}) }
+
+// cnp runs CNP1 or CNP2 with budget k.
+func cnp(g *graph.CSR, k int, p Pruning) []model.IDPair { return run(g, Params{Pruning: p, K: k}) }
 func blastWNP(g *graph.CSR, c, d float64) []model.IDPair {
-	return mustPairs(BlastWNPStream(context.Background(), g, c, d, 1))
+	return run(g, Params{Pruning: BlastWNP, C: c, D: d})
 }
 
 func mustPairs(pairs []model.IDPair, err error) []model.IDPair {
@@ -89,7 +101,7 @@ func setWeight(g *graph.CSR, u, v int32, w float64) {
 // edges p1-p4, p2-p3, and prunes the weight-1 edges (dashed in Fig. 1d).
 func TestWNPFigure1d(t *testing.T) {
 	g := figure1Graph()
-	for _, mode := range []Mode{Redefined, Reciprocal} {
+	for _, mode := range []Pruning{WNP1, WNP2} {
 		got := retainedPairs(wnp(g, mode))
 		want := []model.IDPair{
 			model.MakePair(0, 2), model.MakePair(1, 3),
@@ -145,8 +157,8 @@ func TestCEPTopK(t *testing.T) {
 func TestCNPModes(t *testing.T) {
 	g := figure1Graph()
 	// k=1: each node marks its single best edge (stable order for ties).
-	red := retainedPairs(cnp(g, 1, Redefined))
-	rec := retainedPairs(cnp(g, 1, Reciprocal))
+	red := retainedPairs(cnp(g, 1, CNP1))
+	rec := retainedPairs(cnp(g, 1, CNP2))
 	// Reciprocal must be a subset of redefined.
 	for p := range rec {
 		if !red[p] {
@@ -167,7 +179,7 @@ func TestCNPModes(t *testing.T) {
 func TestCNPDefaultK(t *testing.T) {
 	g := figure1Graph()
 	// Default k = round(26/4) = 7 >= degree: keeps all positive edges.
-	if got := cnp(g, 0, Redefined); len(got) != 6 {
+	if got := cnp(g, 0, CNP1); len(got) != 6 {
 		t.Errorf("CNP(default) = %d, want 6", len(got))
 	}
 }
@@ -223,7 +235,7 @@ func TestBlastWNPThresholdIndependence(t *testing.T) {
 	// Reciprocal mode isolates node 0's threshold: the other endpoints are
 	// leaves whose only edge always passes their own threshold.
 	blastBefore := decide(base, func(g *graph.CSR) []model.IDPair { return blastWNP(g, 2, 2) })
-	wnpBefore := decide(base, func(g *graph.CSR) []model.IDPair { return wnp(g, Reciprocal) })
+	wnpBefore := decide(base, func(g *graph.CSR) []model.IDPair { return wnp(g, WNP2) })
 
 	// Add two more weight-1 neighbors (the p5, p6 of Figure 6a).
 	extended := base.Clone()
@@ -231,7 +243,7 @@ func TestBlastWNPThresholdIndependence(t *testing.T) {
 	addPairBlocks(extended, 0, 5, 1, "v")
 
 	blastAfter := decide(extended, func(g *graph.CSR) []model.IDPair { return blastWNP(g, 2, 2) })
-	wnpAfter := decide(extended, func(g *graph.CSR) []model.IDPair { return wnp(g, Reciprocal) })
+	wnpAfter := decide(extended, func(g *graph.CSR) []model.IDPair { return wnp(g, WNP2) })
 
 	target := model.MakePair(0, 2) // the weight-2 edge
 	if blastBefore[target] != blastAfter[target] {
@@ -276,10 +288,10 @@ func TestZeroWeightEdgesNeverRetained(t *testing.T) {
 	checks := map[string][]model.IDPair{
 		"WEP":      wep(g),
 		"CEP":      cep(g, 100),
-		"WNP1":     wnp(g, Redefined),
-		"WNP2":     wnp(g, Reciprocal),
-		"CNP1":     cnp(g, 10, Redefined),
-		"CNP2":     cnp(g, 10, Reciprocal),
+		"WNP1":     wnp(g, WNP1),
+		"WNP2":     wnp(g, WNP2),
+		"CNP1":     cnp(g, 10, CNP1),
+		"CNP2":     cnp(g, 10, CNP2),
 		"BlastWNP": blastWNP(g, 2, 2),
 	}
 	for name, pairs := range checks {
@@ -293,16 +305,16 @@ func TestZeroWeightEdgesNeverRetained(t *testing.T) {
 
 func TestEmptyGraph(t *testing.T) {
 	g := &graph.CSR{NumProfiles: 3, Offsets: make([]int64, 4), BlockCounts: make([]int32, 3)}
-	if wep(g) != nil || cep(g, 5) != nil || wnp(g, Redefined) != nil ||
-		cnp(g, 2, Reciprocal) != nil || blastWNP(g, 2, 2) != nil {
+	if wep(g) != nil || cep(g, 5) != nil || wnp(g, WNP1) != nil ||
+		cnp(g, 2, CNP2) != nil || blastWNP(g, 2, 2) != nil {
 		t.Error("empty graph should prune to nothing")
 	}
 }
 
 func TestReciprocalSubsetOfRedefined(t *testing.T) {
 	g := figure1Graph()
-	redW := retainedPairs(wnp(g, Redefined))
-	recW := retainedPairs(wnp(g, Reciprocal))
+	redW := retainedPairs(wnp(g, WNP1))
+	recW := retainedPairs(wnp(g, WNP2))
 	for p := range recW {
 		if !redW[p] {
 			t.Errorf("WNP reciprocal edge %v not in redefined set", p)
@@ -314,7 +326,7 @@ func TestReciprocalSubsetOfRedefined(t *testing.T) {
 // keeps at least its maximum-weight edge (it is >= the node average).
 func TestWNPRetainsLocalMaximum(t *testing.T) {
 	g := figure1Graph()
-	kept := retainedPairs(wnp(g, Redefined))
+	kept := retainedPairs(wnp(g, WNP1))
 	for node := 0; node < g.NumProfiles; node++ {
 		if best, ok := maxEdge(g, node); ok && !kept[best] {
 			t.Errorf("node %d max edge %v pruned by redefined WNP", node, best)
@@ -337,9 +349,27 @@ func TestGlobalMaximumSurvivesBlastWNP(t *testing.T) {
 	}
 }
 
-func TestModeString(t *testing.T) {
-	if Redefined.String() != "redefined" || Reciprocal.String() != "reciprocal" {
-		t.Error("Mode.String mismatch")
+// TestPruningStringAndNodeLocal pins the enum's names and the
+// node-local classification the incremental writers branch on.
+func TestPruningStringAndNodeLocal(t *testing.T) {
+	for p, want := range map[Pruning]struct {
+		name  string
+		local bool
+	}{
+		WEP: {"wep", false}, CEP: {"cep", false},
+		WNP1: {"wnp1", true}, WNP2: {"wnp2", true},
+		CNP1: {"cnp1", false}, CNP2: {"cnp2", false},
+		BlastWNP: {"blast-wnp", true},
+	} {
+		if p.String() != want.name || p.NodeLocal() != want.local {
+			t.Errorf("%d: String() = %q, NodeLocal() = %v; want %q, %v", int(p), p.String(), p.NodeLocal(), want.name, want.local)
+		}
+	}
+	if got := Pruning(42).String(); got != "Pruning(42)" {
+		t.Errorf("unknown pruning renders %q", got)
+	}
+	if _, err := Decide(context.Background(), figure1Graph(), Params{Pruning: 42}, 6, OneGraph{}); err == nil {
+		t.Error("Decide accepted an unknown pruning")
 	}
 }
 
@@ -402,10 +432,10 @@ func TestPruningInvariantsRandomGraphs(t *testing.T) {
 				}
 			}
 		}
-		wnpR := wnp(g, Redefined)
-		wnpC := wnp(g, Reciprocal)
-		cnpR := cnp(g, 3, Redefined)
-		cnpC := cnp(g, 3, Reciprocal)
+		wnpR := wnp(g, WNP1)
+		wnpC := wnp(g, WNP2)
+		cnpR := cnp(g, 3, CNP1)
+		cnpC := cnp(g, 3, CNP2)
 		cep5 := cep(g, 5)
 		for name, pairs := range map[string][]model.IDPair{
 			"wnp1": wnpR, "wnp2": wnpC, "cnp1": cnpR, "cnp2": cnpC,

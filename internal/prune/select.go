@@ -1,6 +1,6 @@
 // Histogram-cut selection for CEP: find the k-th largest edge weight
 // (the cut) and the count of edges strictly above it without ever
-// materializing the O(|E|) weight array the old CEPStream sorted.
+// materializing an O(|E|) weight array to sort.
 //
 // Weights are mapped onto order-preserving 64-bit keys and the cut key
 // is located by MSB-first 16-bit histogram passes: a pass counts the
@@ -15,7 +15,8 @@
 // Counting passes parallelize over the fixed node chunks; histogram
 // counts and key min/max merge commutatively, so the selected cut is
 // byte-identical for every worker count (determinism rule 3 of
-// parallel.go).
+// parallel.go) and for every partition of the rows into parties whose
+// histograms an Aggregator folds.
 package prune
 
 import (
@@ -57,55 +58,47 @@ func keyWeight(k uint64) float64 {
 	return math.Float64frombits(^k)
 }
 
-// selHist is one worker's histogram of a counting pass.
+// selHist is one worker's histogram of a counting pass. A bucket's key
+// minimum and maximum are meaningful only once its count is non-zero,
+// so a fresh (zeroed) histogram needs no initialization.
 type selHist struct {
 	counts [selBuckets]int64
 	kmin   [selBuckets]uint64
 	kmax   [selBuckets]uint64
 }
 
-func (h *selHist) reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-		h.kmin[i] = ^uint64(0)
-		h.kmax[i] = 0
-	}
-}
-
-// CountCutHist runs one counting pass of the histogram selection over
+// countCutHist runs one counting pass of the histogram selection over
 // the graph's canonical entries: every canonical weight key matching the
 // candidate prefix (key>>(shift+16) == prefix) is counted into its
 // 16-bit bucket, tracking per-bucket key min/max. The returned slices
-// are the merged histogram of all workers (length 2^16 each); counts
-// and min/max merge commutatively across workers — and across shards of
-// a partitioned server, whose owned-rows graphs partition the canonical
-// entries, which is why element-wise merging per-shard histograms in
-// any order reproduces the whole-graph histogram exactly.
-func CountCutHist(ctx context.Context, g *graph.CSR, workers int, prefix uint64, shift uint) (counts []int64, kmin, kmax []uint64, err error) {
+// are the merged histogram of all workers (length 2^16 each).
+func countCutHist(ctx context.Context, g *graph.CSR, workers int, prefix uint64, shift uint) (counts []int64, kmin, kmax []uint64, err error) {
 	nch := numChunks(g.NumProfiles)
 	nw := pruneWorkerCount(workers, nch)
 	hists := make([]*selHist, nw)
 	for i := range hists {
 		hists[i] = &selHist{}
-		hists[i].reset()
 	}
 	// hists[w.id] belongs to its goroutine alone; the merge below is
 	// commutative, so the racy chunk assignment cannot influence the
 	// outcome.
 	err = runChunks(ctx, workers, nch, func(w *pruneWorker, chunk int) error {
 		h := hists[w.id]
-		return forChunkCanonical(g, w, chunk, func(_, _ int32, _ int64, wt float64) {
-			key := weightKey(wt)
-			if key>>(shift+selBucketBits) != prefix {
-				return
-			}
-			b := (key >> shift) & selBucketMask
-			h.counts[b]++
-			if key < h.kmin[b] {
-				h.kmin[b] = key
-			}
-			if key > h.kmax[b] {
-				h.kmax[b] = key
+		return forChunkCanonical(g, w, chunk, func(_ int32, _ []int32, wts []float64) {
+			for _, wt := range wts {
+				key := weightKey(wt)
+				if key>>(shift+selBucketBits) != prefix {
+					continue
+				}
+				b := (key >> shift) & selBucketMask
+				if h.counts[b] == 0 {
+					h.kmin[b], h.kmax[b] = key, key
+				} else if key < h.kmin[b] {
+					h.kmin[b] = key
+				} else if key > h.kmax[b] {
+					h.kmax[b] = key
+				}
+				h.counts[b]++
 			}
 		})
 	})
@@ -114,74 +107,58 @@ func CountCutHist(ctx context.Context, g *graph.CSR, workers int, prefix uint64,
 	}
 	merged := hists[0]
 	for _, h := range hists[1:] {
-		MergeCutHist(merged.counts[:], merged.kmin[:], merged.kmax[:],
+		mergeCutHist(merged.counts[:], merged.kmin[:], merged.kmax[:],
 			h.counts[:], h.kmin[:], h.kmax[:])
 	}
 	return merged.counts[:], merged.kmin[:], merged.kmax[:], nil
 }
 
-// MergeCutHist folds one counting histogram into another in place:
-// counts add, key minima/maxima tighten. The merge is commutative and
-// associative, so any fold order — worker order, shard order — yields
-// the identical merged histogram.
-func MergeCutHist(counts []int64, kmin, kmax []uint64, ocounts []int64, okmin, okmax []uint64) {
-	for b := range counts {
-		if ocounts[b] == 0 {
+// mergeCutHist folds one counting histogram into another in place:
+// counts add, the key minima/maxima of occupied buckets tighten. The
+// merge is commutative and associative, so any fold order yields the
+// identical merged histogram.
+func mergeCutHist(counts []int64, kmin, kmax []uint64, ocounts []int64, okmin, okmax []uint64) {
+	for b, c := range ocounts {
+		if c == 0 {
 			continue
 		}
-		counts[b] += ocounts[b]
-		if okmin[b] < kmin[b] {
-			kmin[b] = okmin[b]
+		if counts[b] == 0 {
+			kmin[b], kmax[b] = okmin[b], okmax[b]
+		} else {
+			kmin[b] = min(kmin[b], okmin[b])
+			kmax[b] = max(kmax[b], okmax[b])
 		}
-		if okmax[b] > kmax[b] {
-			kmax[b] = okmax[b]
-		}
+		counts[b] += c
 	}
 }
 
-// NewCutHist returns an empty counting histogram (counts zero, minima
-// saturated high, maxima low) ready to be a MergeCutHist accumulator.
-func NewCutHist() (counts []int64, kmin, kmax []uint64) {
-	h := &selHist{}
-	h.reset()
-	return h.counts[:], h.kmin[:], h.kmax[:]
-}
-
-// CutScan is the refinement state of the histogram selection: it
-// consumes one merged counting histogram per Step and narrows the
+// cutScan is the refinement state of the histogram selection: it
+// consumes one merged counting histogram per step and narrows the
 // candidate prefix until the bucket holding the k-th largest key is a
-// single distinct key. It carries no graph state, so a partitioned
-// server drives the identical scan from shard-merged histograms: each
-// round, every shard counts its owned rows at the scan's Prefix/Shift,
-// the histograms merge in shard order, and one Step advances the scan —
-// at most four rounds, exactly like the local selectCut.
-type CutScan struct {
+// single distinct key — at most four steps. It carries no graph state,
+// so the histograms it consumes may be folded from any number of
+// parties.
+type cutScan struct {
 	rank    int64  // rank of the cut within the candidate set, from the top
 	above   int64  // resolved count of keys strictly above the candidates
 	prefix  uint64 // candidates satisfy key>>(shift+16) == prefix
 	shift   uint
-	done    bool
 	cut     float64
 	greater int
 	ties    int
 }
 
-// NewCutScan starts a scan for the k-th largest canonical weight
+// newCutScan starts a scan for the k-th largest canonical weight
 // (callers guarantee 1 <= k <= the number of canonical edges).
-func NewCutScan(k int) *CutScan {
-	return &CutScan{rank: int64(k), shift: 48}
+func newCutScan(k int) *cutScan {
+	return &cutScan{rank: int64(k), shift: 48}
 }
 
-// Shift returns the bucket shift of the next counting pass.
-func (cs *CutScan) Shift() uint { return cs.shift }
-
-// Prefix returns the candidate prefix of the next counting pass.
-func (cs *CutScan) Prefix() uint64 { return cs.prefix }
-
-// Step consumes the merged histogram of one counting pass at the scan's
-// current Prefix/Shift and either resolves the cut (returning true —
-// read it with Cut) or narrows the prefix for the next pass.
-func (cs *CutScan) Step(counts []int64, kmin, kmax []uint64) bool {
+// step consumes the merged histogram of one counting pass at the
+// scan's current prefix/shift and either resolves the cut (returning
+// true; cut, greater and ties are then set) or narrows the prefix for
+// the next pass.
+func (cs *cutScan) step(counts []int64, kmin, kmax []uint64) bool {
 	// Find the bucket holding the rank-th largest candidate key.
 	cum := int64(0)
 	b := selBuckets - 1
@@ -203,7 +180,6 @@ func (cs *CutScan) Step(counts []int64, kmin, kmax []uint64) bool {
 		// key (always true at shift 0, where a bucket is one exact
 		// key): it is the cut, nothing inside it ties above, and the
 		// bucket's population is the global tie count.
-		cs.done = true
 		cs.cut = keyWeight(kmin[b])
 		cs.greater = int(cs.above)
 		cs.ties = int(counts[b])
@@ -212,33 +188,4 @@ func (cs *CutScan) Step(counts []int64, kmin, kmax []uint64) bool {
 	cs.prefix = cs.prefix<<selBucketBits | uint64(b)
 	cs.shift -= selBucketBits
 	return false
-}
-
-// Cut returns the resolved cut weight, the count of canonical edges
-// strictly above it, and the count tying exactly at it. Valid once Step
-// has returned true.
-func (cs *CutScan) Cut() (cut float64, greater, ties int) {
-	return cs.cut, cs.greater, cs.ties
-}
-
-// selectCut returns the k-th largest canonical edge weight of the graph
-// (callers guarantee 1 <= k <= NumEdges), the number of edges whose
-// weight is strictly greater — exactly the cut and `greater` the
-// sort-based CEPStream derived from its flat weight array — and the
-// total number of edges tying exactly at the cut (the final cut
-// bucket's population, free from the selection's own bookkeeping; the
-// caller uses it to skip tie-ordinal accounting when every tie or no
-// tie fits the budget).
-func selectCut(ctx context.Context, g *graph.CSR, workers, k int) (cut float64, greater, ties int, err error) {
-	cs := NewCutScan(k)
-	for {
-		counts, kmin, kmax, err := CountCutHist(ctx, g, workers, cs.Prefix(), cs.Shift())
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		if cs.Step(counts, kmin, kmax) {
-			cut, greater, ties = cs.Cut()
-			return cut, greater, ties, nil
-		}
-	}
 }

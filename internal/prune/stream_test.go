@@ -14,14 +14,13 @@ import (
 	"blast/internal/weights"
 )
 
-// muster returns an unwrapper for a streaming scheme's (pairs, error)
-// return; the background context never cancels, so an error is a test
-// bug.
+// muster returns an unwrapper for a decision's (pairs, error) return;
+// the background context never cancels, so an error is a test bug.
 func muster(t *testing.T) func([]model.IDPair, error) []model.IDPair {
 	return func(pairs []model.IDPair, err error) []model.IDPair {
 		t.Helper()
 		if err != nil {
-			t.Fatalf("unexpected stream error: %v", err)
+			t.Fatalf("unexpected pruning error: %v", err)
 		}
 		return pairs
 	}
@@ -78,9 +77,9 @@ func (l *edgeList) kept(keep func(i int, e wedge) bool) []model.IDPair {
 	return out
 }
 
-// nodeThresholds reduces each non-isolated node's incident weights, in
+// thresholds reduces each non-isolated node's incident weights, in
 // ascending neighbor order, to one threshold.
-func (l *edgeList) nodeThresholds(reduce func(ws []float64) float64) []float64 {
+func (l *edgeList) thresholds(reduce func(ws []float64) float64) []float64 {
 	th := make([]float64, l.n)
 	for n, inc := range l.adj {
 		if len(inc) == 0 {
@@ -95,8 +94,10 @@ func (l *edgeList) nodeThresholds(reduce func(ws []float64) float64) []float64 {
 	return th
 }
 
-func resolveMode(mode Mode, a, b bool) bool {
-	if mode == Reciprocal {
+// resolve combines the two endpoints' verdicts: both for the
+// reciprocal schemes (WNP2, CNP2), either for the redefined ones.
+func resolve(reciprocal, a, b bool) bool {
+	if reciprocal {
 		return a && b
 	}
 	return a || b
@@ -122,8 +123,8 @@ func (l *edgeList) cep(k int) []model.IDPair {
 	return referenceCEP(l.edges, k)
 }
 
-func (l *edgeList) wnp(mode Mode) []model.IDPair {
-	th := l.nodeThresholds(func(ws []float64) float64 {
+func (l *edgeList) wnp(reciprocal bool) []model.IDPair {
+	th := l.thresholds(func(ws []float64) float64 {
 		s := 0.0
 		for _, x := range ws {
 			s += x
@@ -131,14 +132,14 @@ func (l *edgeList) wnp(mode Mode) []model.IDPair {
 		return s / float64(len(ws))
 	})
 	return l.kept(func(_ int, e wedge) bool {
-		return resolveMode(mode, e.Weight >= th[e.U], e.Weight >= th[e.V])
+		return resolve(reciprocal, e.Weight >= th[e.U], e.Weight >= th[e.V])
 	})
 }
 
 // cnp keeps an edge when it is in the top-k list (stable descending
-// sort over ascending neighbors) of one (Redefined) or both
-// (Reciprocal) endpoints.
-func (l *edgeList) cnp(k int, mode Mode) []model.IDPair {
+// sort over ascending neighbors) of one (redefined) or both
+// (reciprocal) endpoints.
+func (l *edgeList) cnp(k int, reciprocal bool) []model.IDPair {
 	if k <= 0 {
 		k = CNPBudget(l.counts)
 	}
@@ -154,13 +155,13 @@ func (l *edgeList) cnp(k int, mode Mode) []model.IDPair {
 			}
 		}
 	}
-	return l.kept(func(i int, _ wedge) bool { return resolveMode(mode, top[i][0], top[i][1]) })
+	return l.kept(func(i int, _ wedge) bool { return resolve(reciprocal, top[i][0], top[i][1]) })
 }
 
 // blastWNP keeps the edges at or above (theta_u + theta_v) / d, where
 // theta_n is node n's maximum incident weight divided by c.
 func (l *edgeList) blastWNP(c, d float64) []model.IDPair {
-	th := l.nodeThresholds(func(ws []float64) float64 {
+	th := l.thresholds(func(ws []float64) float64 {
 		m := ws[0]
 		for _, x := range ws {
 			m = max(m, x)
@@ -170,9 +171,9 @@ func (l *edgeList) blastWNP(c, d float64) []model.IDPair {
 	return l.kept(func(_ int, e wedge) bool { return e.Weight >= (th[e.U]+th[e.V])/d })
 }
 
-// TestStreamMatchesEdgeListOnRandomCollections drives every streaming
-// scheme against its textbook definition over the graph's plain edge
-// list, on random collections of both kinds.
+// TestStreamMatchesEdgeListOnRandomCollections drives every scheme's
+// one-graph decision against its textbook definition over the graph's
+// plain edge list, on random collections of both kinds.
 func TestStreamMatchesEdgeListOnRandomCollections(t *testing.T) {
 	ctx := context.Background()
 	must := muster(t)
@@ -188,29 +189,33 @@ func TestStreamMatchesEdgeListOnRandomCollections(t *testing.T) {
 				csr := weighted(c, s)
 				l := edgeListOf(csr)
 				label := fmt.Sprintf("seed=%d kind=%v %s", seed, kind, s.Name())
-				comparePairs(t, label+" wep", l.wep(), must(WEPStream(ctx, csr, 1)))
-				comparePairs(t, label+" cep", l.cep(0), must(CEPStream(ctx, csr, 0, 1)))
-				comparePairs(t, label+" cep5", l.cep(5), must(CEPStream(ctx, csr, 5, 1)))
-				for _, mode := range []Mode{Redefined, Reciprocal} {
-					comparePairs(t, label+" wnp", l.wnp(mode), must(WNPStream(ctx, csr, mode, 1)))
-					comparePairs(t, label+" cnp", l.cnp(0, mode), must(CNPStream(ctx, csr, 0, mode, 1)))
-					comparePairs(t, label+" cnp2", l.cnp(2, mode), must(CNPStream(ctx, csr, 2, mode, 1)))
+				got := func(p Params) []model.IDPair {
+					p.Workers = 1
+					return must(prunePairs(ctx, csr, p))
 				}
-				comparePairs(t, label+" blast", l.blastWNP(2, 2), must(BlastWNPStream(ctx, csr, 2, 2, 1)))
-				comparePairs(t, label+" blast41", l.blastWNP(4, 1), must(BlastWNPStream(ctx, csr, 4, 1, 1)))
+				comparePairs(t, label+" wep", l.wep(), got(Params{Pruning: WEP}))
+				comparePairs(t, label+" cep", l.cep(0), got(Params{Pruning: CEP}))
+				comparePairs(t, label+" cep5", l.cep(5), got(Params{Pruning: CEP, K: 5}))
+				comparePairs(t, label+" wnp1", l.wnp(false), got(Params{Pruning: WNP1}))
+				comparePairs(t, label+" wnp2", l.wnp(true), got(Params{Pruning: WNP2}))
+				comparePairs(t, label+" cnp1", l.cnp(0, false), got(Params{Pruning: CNP1}))
+				comparePairs(t, label+" cnp2", l.cnp(0, true), got(Params{Pruning: CNP2}))
+				comparePairs(t, label+" cnp1 k=2", l.cnp(2, false), got(Params{Pruning: CNP1, K: 2}))
+				comparePairs(t, label+" cnp2 k=2", l.cnp(2, true), got(Params{Pruning: CNP2, K: 2}))
+				comparePairs(t, label+" blast", l.blastWNP(2, 2), got(Params{Pruning: BlastWNP, C: 2, D: 2}))
+				comparePairs(t, label+" blast41", l.blastWNP(4, 1), got(Params{Pruning: BlastWNP, C: 4, D: 1}))
 			}
 		}
 	}
 }
 
-// TestStreamFigure1: the streaming BLAST pruning reproduces the paper
-// example exactly.
+// TestStreamFigure1: BLAST pruning reproduces the paper example
+// exactly.
 func TestStreamFigure1(t *testing.T) {
-	must := muster(t)
 	ds := datasets.PaperExample()
 	c := blocking.TokenBlocking(ds)
 	csr := weighted(c, weights.Blast())
-	pairs := must(BlastWNPStream(context.Background(), csr, 2, 2, 1))
+	pairs := blastWNP(csr, 2, 2)
 	if len(pairs) != 2 {
 		t.Fatalf("retained %d pairs, want 2", len(pairs))
 	}
@@ -221,40 +226,35 @@ func TestStreamFigure1(t *testing.T) {
 	}
 }
 
-// TestStreamEmptyGraph: every streaming scheme must cope with an
-// edgeless graph.
+// allParams is one Params per scheme, at default knobs.
+var allParams = []Params{
+	{Pruning: WEP}, {Pruning: CEP}, {Pruning: WNP1}, {Pruning: WNP2},
+	{Pruning: CNP1}, {Pruning: CNP2}, {Pruning: BlastWNP, C: 2, D: 2},
+}
+
+// TestStreamEmptyGraph: every scheme must cope with an edgeless graph.
 func TestStreamEmptyGraph(t *testing.T) {
-	ctx := context.Background()
-	must := muster(t)
 	c := &blocking.Collection{Kind: model.Dirty, NumProfiles: 3}
 	csr := weighted(c, weights.Scheme{Kind: weights.CBS})
-	if must(WEPStream(ctx, csr, 1)) != nil || must(CEPStream(ctx, csr, 0, 1)) != nil ||
-		must(WNPStream(ctx, csr, Redefined, 1)) != nil || must(CNPStream(ctx, csr, 0, Reciprocal, 1)) != nil ||
-		must(BlastWNPStream(ctx, csr, 2, 2, 1)) != nil {
-		t.Error("empty graph must prune to nothing")
+	for _, p := range allParams {
+		if got := run(csr, p); got != nil {
+			t.Errorf("%v: empty graph retained %v", p.Pruning, got)
+		}
 	}
 }
 
-// TestStreamZeroWeightsNeverRetained: a zero weight means no evidence, so nothing is emitted even though the
-// thresholds degenerate to zero.
+// TestStreamZeroWeightsNeverRetained: a zero weight means no evidence,
+// so nothing is emitted even though the thresholds degenerate to zero.
 func TestStreamZeroWeightsNeverRetained(t *testing.T) {
-	ctx := context.Background()
-	must := muster(t)
 	rng := stats.NewRNG(5)
 	c := blocking.RandomCollection(rng, model.Dirty, 30, 20)
-	csr, err := graph.BuildCSR(ctx, c, nil, 1) // weights left at zero
+	csr, err := graph.BuildCSR(context.Background(), c, nil, 1) // weights left at zero
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, pairs := range map[string][]model.IDPair{
-		"wep":   must(WEPStream(ctx, csr, 1)),
-		"cep":   must(CEPStream(ctx, csr, 0, 1)),
-		"wnp":   must(WNPStream(ctx, csr, Redefined, 1)),
-		"cnp":   must(CNPStream(ctx, csr, 0, Redefined, 1)),
-		"blast": must(BlastWNPStream(ctx, csr, 2, 2, 1)),
-	} {
-		if len(pairs) != 0 {
-			t.Errorf("%s retained %d zero-weight pairs", name, len(pairs))
+	for _, p := range allParams {
+		if pairs := run(csr, p); len(pairs) != 0 {
+			t.Errorf("%v retained %d zero-weight pairs", p.Pruning, len(pairs))
 		}
 	}
 }

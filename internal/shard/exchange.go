@@ -2,8 +2,9 @@ package shard
 
 // The aggregate exchange of partitioned sharding. Partitioned shard
 // writers resolve graph-global pruning inputs (degree vectors, weight
-// sums, histogram cuts, threshold vectors, top-k mark lists) by
-// all-gathering compact per-shard frames: every shard contributes its
+// sums, histogram cuts, threshold vectors, top-k mark lists — the
+// rounds of Aggregate, aggregate.go) by all-gathering compact per-shard
+// frames: every shard contributes its
 // frame for a round and blocks until all n frames of that round are
 // present, then reads them back in slot (shard) order — the
 // deterministic merge order the refold reductions require.
@@ -29,8 +30,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-
-	"blast/internal/model"
 )
 
 // Exchange is the all-gather rendezvous of one partitioned server's
@@ -175,15 +174,6 @@ func (w *FrameWriter) Float64s(v []float64) {
 	}
 }
 
-// Pairs appends a []model.IDPair section (two int32 per pair).
-func (w *FrameWriter) Pairs(v []model.IDPair) {
-	w.buf = binary.AppendUvarint(w.buf, uint64(len(v)))
-	for _, p := range v {
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(p.U))
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(p.V))
-	}
-}
-
 // FrameReader steps through the sections of one frame, in writer
 // order, with sticky error handling: after the first malformed section
 // every further read returns empty and Err reports the failure. A
@@ -257,18 +247,6 @@ func (r *FrameReader) Float64s() []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.data))
-		r.data = r.data[8:]
-	}
-	return out
-}
-
-// Pairs reads a []model.IDPair section.
-func (r *FrameReader) Pairs() []model.IDPair {
-	n := r.count(8)
-	out := make([]model.IDPair, n)
-	for i := range out {
-		out[i].U = int32(binary.LittleEndian.Uint32(r.data))
-		out[i].V = int32(binary.LittleEndian.Uint32(r.data[4:]))
 		r.data = r.data[8:]
 	}
 	return out

@@ -5,9 +5,9 @@ package shard
 // and its position in the insert sequence — so serialization is a plain
 // deterministic layout with one trailing checksum:
 //
-//	[8]  magic "BLSNAP01" (full replica) or "BLSNAP02" (partitioned)
+//	[8]  magic "BLSNAP02"
 //	uvarint Epoch, Batches, NumProfiles, NumEdges, RetainedPairs
-//	uvarint PartShards, PartShard            (BLSNAP02 only)
+//	uvarint PartShards, PartShard
 //	uvarint len(Offsets), uvarint delta-encoded Offsets
 //	uvarint len(Neighbors), [4]xN little-endian Neighbors
 //	uvarint len(Weights),   [8]xN little-endian float64 bits
@@ -23,6 +23,10 @@ package shard
 // partially-trusted state. Files are written to a temporary name and
 // renamed into place so a crash mid-write can never clobber the previous
 // valid snapshot.
+//
+// BLSNAP01, the unpartitioned form the retired replicated topology
+// wrote (every row resident, no partition header), is no longer read:
+// decoding one fails with ErrUnpartitionedSnapshot.
 
 import (
 	"encoding/binary"
@@ -35,36 +39,33 @@ import (
 )
 
 var (
-	snapMagic = [8]byte{'B', 'L', 'S', 'N', 'A', 'P', '0', '1'}
-	// snapMagic2 tags partitioned (owned-rows) snapshots, which carry two
-	// extra header fields. A distinct magic — rather than a flag inside
-	// the v1 layout — keeps v1 files byte-identical to what earlier
-	// builds wrote and makes a replicated reader reject a partitioned
-	// file loudly instead of misreading its header.
-	snapMagic2 = [8]byte{'B', 'L', 'S', 'N', 'A', 'P', '0', '2'}
+	// snapMagic tags the partitioned (owned-rows) snapshot layout.
+	snapMagic = [8]byte{'B', 'L', 'S', 'N', 'A', 'P', '0', '2'}
+	// snapMagicV1 tags the retired unpartitioned layout.
+	snapMagicV1 = [8]byte{'B', 'L', 'S', 'N', 'A', 'P', '0', '1'}
 )
+
+// ErrUnpartitionedSnapshot reports a BLSNAP01 snapshot: the
+// unpartitioned form only the retired replicated topology wrote. Such a
+// file cannot seed a partitioned shard; recovery skips it like any
+// other unusable snapshot.
+var ErrUnpartitionedSnapshot = errors.New("shard: unpartitioned BLSNAP01 snapshot is no longer supported")
 
 var snapCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // EncodeSnapshot serializes a snapshot into a self-checking byte blob.
 func EncodeSnapshot(s *Snapshot) []byte {
-	n := 8 + 5*10 + 10 + len(s.Offsets)*5 + 10 + len(s.Neighbors)*4 +
+	n := 8 + 7*10 + 10 + len(s.Offsets)*5 + 10 + len(s.Neighbors)*4 +
 		10 + len(s.Weights)*8 + 10 + (len(s.Retained)+7)/8 + 11 + len(s.Theta)*8 + 4
 	buf := make([]byte, 0, n)
-	if s.PartShards > 0 {
-		buf = append(buf, snapMagic2[:]...)
-	} else {
-		buf = append(buf, snapMagic[:]...)
-	}
+	buf = append(buf, snapMagic[:]...)
 	buf = binary.AppendUvarint(buf, s.Epoch)
 	buf = binary.AppendUvarint(buf, uint64(s.Batches))
 	buf = binary.AppendUvarint(buf, uint64(s.NumProfiles))
 	buf = binary.AppendUvarint(buf, uint64(s.NumEdges))
 	buf = binary.AppendUvarint(buf, uint64(s.RetainedPairs))
-	if s.PartShards > 0 {
-		buf = binary.AppendUvarint(buf, uint64(s.PartShards))
-		buf = binary.AppendUvarint(buf, uint64(s.PartShard))
-	}
+	buf = binary.AppendUvarint(buf, uint64(s.PartShards))
+	buf = binary.AppendUvarint(buf, uint64(s.PartShard))
 	buf = binary.AppendUvarint(buf, uint64(len(s.Offsets)))
 	prev := int64(0)
 	for _, o := range s.Offsets {
@@ -116,8 +117,11 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if crc32.Checksum(body, snapCRC) != binary.LittleEndian.Uint32(tail) {
 		return nil, fmt.Errorf("%w: checksum mismatch", errSnapCorrupt)
 	}
-	magic := [8]byte(body[:8])
-	if magic != snapMagic && magic != snapMagic2 {
+	switch [8]byte(body[:8]) {
+	case snapMagic:
+	case snapMagicV1:
+		return nil, ErrUnpartitionedSnapshot
+	default:
 		return nil, fmt.Errorf("shard: bad snapshot magic %q", body[:8])
 	}
 	d := &snapDecoder{data: body[8:]}
@@ -127,10 +131,8 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		NumProfiles:   int(d.uvarint()),
 		NumEdges:      int(d.uvarint()),
 		RetainedPairs: int(d.uvarint()),
-	}
-	if magic == snapMagic2 {
-		s.PartShards = int(d.uvarint())
-		s.PartShard = int(d.uvarint())
+		PartShards:    int(d.uvarint()),
+		PartShard:     int(d.uvarint()),
 	}
 	no := d.count(1) // at most one uvarint byte per offset delta
 	s.Offsets = make([]int64, 0, no)
@@ -205,25 +207,18 @@ func validateSnapshot(s *Snapshot) error {
 	if len(s.Weights) != len(s.Neighbors) || len(s.Retained) != len(s.Neighbors) {
 		return fmt.Errorf("%w: entry array lengths disagree", errSnapCorrupt)
 	}
-	if s.PartShards == 0 {
-		// A full replica holds both orientations of every edge.
-		if 2*s.NumEdges != len(s.Neighbors) {
-			return fmt.Errorf("%w: %d edges for %d entries", errSnapCorrupt, s.NumEdges, len(s.Neighbors))
-		}
-	} else {
-		// A partitioned snapshot holds a subset of the orientations —
-		// NumEdges and RetainedPairs are GLOBAL counters — so only the
-		// upper bounds and the ownership shape are checkable locally.
-		if s.PartShard < 0 || s.PartShard >= s.PartShards {
-			return fmt.Errorf("%w: shard %d of %d", errSnapCorrupt, s.PartShard, s.PartShards)
-		}
-		if len(s.Neighbors) > 2*s.NumEdges {
-			return fmt.Errorf("%w: %d entries for %d edges", errSnapCorrupt, len(s.Neighbors), s.NumEdges)
-		}
-		for u := 0; u < s.NumProfiles; u++ {
-			if s.Offsets[u+1] != s.Offsets[u] && !s.Owns(int32(u)) {
-				return fmt.Errorf("%w: unowned row %d populated", errSnapCorrupt, u)
-			}
+	// A snapshot holds a subset of the edge orientations — NumEdges and
+	// RetainedPairs are GLOBAL counters — so only the upper bounds and
+	// the ownership shape are checkable locally.
+	if s.PartShard < 0 || s.PartShard >= s.PartShards {
+		return fmt.Errorf("%w: shard %d of %d", errSnapCorrupt, s.PartShard, s.PartShards)
+	}
+	if len(s.Neighbors) > 2*s.NumEdges {
+		return fmt.Errorf("%w: %d entries for %d edges", errSnapCorrupt, len(s.Neighbors), s.NumEdges)
+	}
+	for u := 0; u < s.NumProfiles; u++ {
+		if s.Offsets[u+1] != s.Offsets[u] && !s.Owns(int32(u)) {
+			return fmt.Errorf("%w: unowned row %d populated", errSnapCorrupt, u)
 		}
 	}
 	if s.Theta != nil && len(s.Theta) != s.NumProfiles {
@@ -240,11 +235,7 @@ func validateSnapshot(s *Snapshot) error {
 			marks++
 		}
 	}
-	if s.PartShards == 0 {
-		if marks != 2*s.RetainedPairs {
-			return fmt.Errorf("%w: %d retained marks for %d pairs", errSnapCorrupt, marks, s.RetainedPairs)
-		}
-	} else if marks > 2*s.RetainedPairs {
+	if marks > 2*s.RetainedPairs {
 		return fmt.Errorf("%w: %d retained marks for %d pairs", errSnapCorrupt, marks, s.RetainedPairs)
 	}
 	return nil

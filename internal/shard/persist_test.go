@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
@@ -19,6 +21,7 @@ func sampleSnapshot(theta bool) *Snapshot {
 		Neighbors:     []int32{1, 2, 0, 3, 0, 1},
 		Weights:       []float64{1.5, 0.25, 1.5, 2.75, 0.25, 2.75},
 		Retained:      []bool{true, false, true, true, false, true},
+		PartShards:    1,
 	}
 	if theta {
 		s.Theta = []float64{0.75, 1.375, 0.125, 1.375}
@@ -30,6 +33,7 @@ func equalSnapshots(a, b *Snapshot) bool {
 	return a.Epoch == b.Epoch && a.Batches == b.Batches &&
 		a.NumProfiles == b.NumProfiles && a.NumEdges == b.NumEdges &&
 		a.RetainedPairs == b.RetainedPairs &&
+		a.PartShards == b.PartShards && a.PartShard == b.PartShard &&
 		slices.Equal(a.Offsets, b.Offsets) &&
 		slices.Equal(a.Neighbors, b.Neighbors) &&
 		slices.Equal(a.Weights, b.Weights) &&
@@ -50,7 +54,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 		}
 	}
 	// Empty snapshot (a served empty dataset).
-	empty := &Snapshot{NumProfiles: 0, Offsets: []int64{0}}
+	empty := &Snapshot{NumProfiles: 0, Offsets: []int64{0}, PartShards: 1}
 	got, err := DecodeSnapshot(EncodeSnapshot(empty))
 	if err != nil {
 		t.Fatal(err)
@@ -83,8 +87,11 @@ func TestSnapshotValidationFailsClosed(t *testing.T) {
 		"neighbor out of range": func(s *Snapshot) { s.Neighbors[0] = 99 },
 		"offset bounds":         func(s *Snapshot) { s.Offsets[4] = 5 },
 		"edge count":            func(s *Snapshot) { s.NumEdges = 2 },
-		"retained count":        func(s *Snapshot) { s.RetainedPairs = 3 },
+		"retained count":        func(s *Snapshot) { s.RetainedPairs = 1 },
 		"theta length":          func(s *Snapshot) { s.Theta = s.Theta[:2] },
+		"shard index":           func(s *Snapshot) { s.PartShard = 1 },
+		"no shard count":        func(s *Snapshot) { s.PartShards = 0 },
+		"unowned row":           func(s *Snapshot) { s.PartShards = 2 },
 	}
 	for name, mutate := range cases {
 		s := sampleSnapshot(true)
@@ -94,6 +101,24 @@ func TestSnapshotValidationFailsClosed(t *testing.T) {
 		if _, err := DecodeSnapshot(EncodeSnapshot(s)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestSnapshotV1Rejected: a BLSNAP01 blob — the unpartitioned layout,
+// without the partition header — fails with the named error even though
+// its checksum is valid.
+func TestSnapshotV1Rejected(t *testing.T) {
+	v2 := EncodeSnapshot(sampleSnapshot(true))
+	// The sample's five counters are one uvarint byte each (bytes 8-12);
+	// the partition header that follows (bytes 13-14) is v2-only.
+	v1 := append([]byte("BLSNAP01"), v2[8:13]...)
+	v1 = append(v1, v2[15:len(v2)-4]...)
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.Checksum(v1, crc32.MakeTable(crc32.Castagnoli)))
+	if _, err := DecodeSnapshot(v1); !errors.Is(err, ErrUnpartitionedSnapshot) {
+		t.Fatalf("BLSNAP01 blob: err = %v, want ErrUnpartitionedSnapshot", err)
+	}
+	if string(v2[:8]) != "BLSNAP02" {
+		t.Fatalf("encoder wrote magic %q, want BLSNAP02", v2[:8])
 	}
 }
 
@@ -138,7 +163,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(EncodeSnapshot(sampleSnapshot(true)))
 	f.Add(EncodeSnapshot(sampleSnapshot(false)))
-	f.Add(EncodeSnapshot(&Snapshot{NumProfiles: 0, Offsets: []int64{0}}))
+	f.Add(EncodeSnapshot(&Snapshot{NumProfiles: 0, Offsets: []int64{0}, PartShards: 1}))
 	f.Add([]byte("BLSNAP01garbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSnapshot(data)

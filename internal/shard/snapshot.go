@@ -94,32 +94,26 @@ type Snapshot struct {
 	// Theta holds the node-local pruning threshold theta_i per profile;
 	// nil for pruning schemes without per-node thresholds.
 	Theta []float64
-	// PartShards is the shard count of a partitioned snapshot: one whose
-	// adjacency runs are populated only for the rows Owner hashes onto
-	// PartShard, every other row being an empty run. 0 (the zero value)
-	// marks a full (unpartitioned) snapshot — every row resident. NumProfiles, NumEdges
-	// and RetainedPairs stay GLOBAL under partitioning: a partitioned
-	// snapshot answers point reads for its owned rows with whole-graph
-	// semantics, its owners having resolved the cross-shard aggregates at
-	// export time.
+	// PartShards is the shard count of the server that exported the
+	// snapshot: its adjacency runs are populated only for the rows Owner
+	// hashes onto PartShard, every other row being an empty run (with
+	// one shard, every row). NumProfiles, NumEdges and RetainedPairs are
+	// GLOBAL: a snapshot answers point reads for its owned rows with
+	// whole-graph semantics, its owners having resolved the cross-shard
+	// aggregates at export time.
 	PartShards int
-	// PartShard is this snapshot's shard index in [0, PartShards); 0 for
-	// a full snapshot.
+	// PartShard is this snapshot's shard index in [0, PartShards).
 	PartShard int
 }
 
 // Owns reports whether a profile's row is resident in this snapshot:
-// always, for a full snapshot; by ownership hash, for a partitioned one.
+// whether Owner hashes it onto PartShard.
 func (s *Snapshot) Owns(profile int32) bool {
-	return s.PartShards == 0 || Owner(profile, s.PartShards) == s.PartShard
+	return Owner(profile, s.PartShards) == s.PartShard
 }
 
-// OwnedRows counts the resident rows: NumProfiles for a full snapshot,
-// the hash-owned subset for a partitioned snapshot.
+// OwnedRows counts the resident (hash-owned) rows.
 func (s *Snapshot) OwnedRows() int {
-	if s.PartShards == 0 {
-		return s.NumProfiles
-	}
 	n := 0
 	for u := 0; u < s.NumProfiles; u++ {
 		if Owner(int32(u), s.PartShards) == s.PartShard {

@@ -3,43 +3,31 @@ package blast
 // The Server's shard writer. A partIndex owns only the rows that hash
 // onto its shard: it holds the (compact, fully replicated) block
 // collection plus an appender, and materializes nothing else between
-// exports. An export builds the owned-rows CSR
-// from the collection and resolves every graph-global pruning input by
-// an all-gather of compact per-shard aggregates over the server's
-// shard.Exchange:
+// exports. An export builds the owned-rows CSR from the collection and
+// makes the pruning decision with prune.Decide — the same function a
+// single-graph build uses — through a shard.Aggregate, which resolves
+// every graph-global input by an all-gather of compact per-shard
+// aggregates over the server's shard.Exchange:
 //
-//	round 0    owned degree vectors      → global degrees, edge count
-//	WEP        per-row weight sums       → the exact global mean
-//	CEP        counting histograms       → the exact global cut
-//	           (+ per-row tie counts and the taken-tie pair set when
-//	            the budget splits a tie group)
-//	WNP/Blast  owned threshold rows      → the global theta vector
-//	CNP        owned top-k mark lists    → the global mark lists
+//	degrees    owned run lengths        → global degrees, edge count
+//	decision   the scheme's aggregates  → the decision (prune.Decide)
 //	final      owned mark counts        → the global retained count
 //
-// Every aggregate merges either by ownership scatter (per-row values:
-// each row has exactly one owner, so merged[u] = frames[owner(u)][u] —
-// never an element-wise sum, which could disturb IEEE signed zeros) or
-// by a commutative fold in fixed shard order (histograms). Every branch
-// a shard takes between rounds — edge-count zero, budget resolution,
-// the tie-budget case split — depends only on globally merged values,
-// so all shards run the identical round sequence and the exchange's
-// call-index round matching never misaligns.
+// Every branch a shard takes between rounds depends only on globally
+// merged values, so all shards run the identical round sequence and the
+// exchange's call-index round matching never misaligns.
 //
 // The correctness contract is the Index's, bit for bit: a row's run in
 // a shard snapshot is byte-identical to the same row of a cold
-// IndexBlocks over the same collection, because the refolds above
-// reproduce the exact reduction shapes (chunk order, row order,
-// adjacency order) of the single-graph streaming schemes.
+// IndexBlocks over the same collection, because one decision function
+// serves both and the aggregates merge by ownership (per-row values) or
+// by exact commutative folds (histograms, counts).
 
 import (
 	"context"
-	"fmt"
-	"slices"
 
 	"blast/internal/blocking"
 	"blast/internal/graph"
-	"blast/internal/metablocking"
 	"blast/internal/model"
 	"blast/internal/prune"
 	"blast/internal/shard"
@@ -101,11 +89,10 @@ func (px *partIndex) InsertAll(ctx context.Context, profiles []model.Profile) ([
 
 // Export builds this shard's owned-rows snapshot at the current
 // collection state, running the aggregate-exchange rounds described in
-// the package comment. All participating shards must export
-// concurrently from identical collection states; the server guarantees
-// both (batches are enqueued to all shards atomically, swaps are
-// SwapOps-aligned, and construction runs every shard's first export
-// together).
+// the file comment. All participating shards must export concurrently
+// from identical collection states; the server guarantees both (batches
+// are enqueued to all shards atomically, swaps are SwapOps-aligned, and
+// construction runs every shard's first export together).
 func (px *partIndex) Export(ctx context.Context) (*shard.Snapshot, error) {
 	c := px.app.Collection()
 	np := c.NumProfiles
@@ -113,65 +100,42 @@ func (px *partIndex) Export(ctx context.Context) (*shard.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	owners := ownerTable(np, px.nparts)
+	agg := shard.NewAggregate(px.ex, px.part, px.nparts, np)
 
-	// Round 0: owned degree vectors. An owned row's run is its node's
-	// complete adjacency, so run lengths are the global degrees and
-	// their sum counts every edge endpoint exactly once per side.
-	degrees := make([]int32, np)
-	for u := 0; u < np; u++ {
-		degrees[u] = int32(g.Offsets[u+1] - g.Offsets[u])
+	// An owned row's run is its node's complete adjacency, so run
+	// lengths are the global degrees and their sum counts every edge
+	// once per endpoint.
+	runs := make([]int64, np)
+	for u := range runs {
+		runs[u] = g.Offsets[u+1] - g.Offsets[u]
 	}
-	var w shard.FrameWriter
-	w.Int32s(degrees)
-	if err := px.gatherInt32Scatter(&w, owners, degrees); err != nil {
+	if _, runs, err = agg.Rows(nil, runs); err != nil {
 		return nil, err
 	}
-	ne := int64(0)
-	for _, d := range degrees {
-		ne += int64(d)
+	degrees := make([]int32, np)
+	ends := int64(0)
+	for u, d := range runs {
+		degrees[u] = int32(d)
+		ends += d
 	}
-	numEdges := int(ne / 2)
+	numEdges := int(ends / 2)
 
 	px.opt.Scheme.ApplyCSR(g, degrees, numEdges, px.opt.Workers)
 	g.ReleaseStats()
 
-	keep, theta, err := px.keepPredicate(ctx, g, numEdges, owners)
+	dec, err := prune.Decide(ctx, g, pruneParams(px.opt), numEdges, agg)
 	if err != nil {
 		return nil, err
 	}
-
-	var retained []bool
-	marks := int64(0)
-	if keep == nil {
-		retained = make([]bool, len(g.Neighbors))
-	} else {
-		retained, marks, err = prune.MarkOwned(ctx, g, px.opt.Workers, keep)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Final round: owned mark counts. Each retained edge is marked once
-	// by the owner of each endpoint — twice in the global sum, whoever
-	// the owners are — so the exchanged total over two is the global
-	// retained-pair count.
-	var mw shard.FrameWriter
-	mw.Int64s([]int64{marks})
-	mfs, err := px.gather(&mw)
+	retained, marks, err := prune.MarkOwned(ctx, g, px.opt.Workers, dec.Keep)
 	if err != nil {
 		return nil, err
 	}
-	total := int64(0)
-	for _, r := range mfs {
-		v := r.Int64s()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if len(v) != 1 {
-			return nil, fmt.Errorf("blast: malformed marks frame (%d values)", len(v))
-		}
-		total += v[0]
+	// Each retained edge is marked once by the owner of each endpoint —
+	// twice in the global sum, whoever the owners are.
+	total, err := agg.Sum(marks)
+	if err != nil {
+		return nil, err
 	}
 
 	return &shard.Snapshot{
@@ -182,391 +146,8 @@ func (px *partIndex) Export(ctx context.Context) (*shard.Snapshot, error) {
 		Neighbors:     g.Neighbors,
 		Weights:       g.Weights,
 		Retained:      retained,
-		Theta:         theta,
+		Theta:         dec.Theta,
 		PartShards:    px.nparts,
 		PartShard:     px.part,
 	}, nil
-}
-
-// keepPredicate resolves the pruning scheme's global inputs through the
-// exchange and returns the per-entry retention predicate (nil when the
-// scheme retains nothing at this state) plus the global per-node
-// threshold vector for the schemes that expose one. Every branch below
-// tests only globally merged values, keeping the round sequence
-// identical across shards.
-func (px *partIndex) keepPredicate(ctx context.Context, g *graph.CSR, numEdges int, owners []uint8) (func(u, v int32, w float64) bool, []float64, error) {
-	opt := &px.opt
-	switch opt.Pruning {
-	case metablocking.WEP:
-		if numEdges == 0 {
-			return nil, nil, nil
-		}
-		sums, counts, err := prune.RowWeightSums(ctx, g, opt.Workers)
-		if err != nil {
-			return nil, nil, err
-		}
-		var w shard.FrameWriter
-		w.Float64s(sums)
-		w.Int64s(counts)
-		rs, err := px.gather(&w)
-		if err != nil {
-			return nil, nil, err
-		}
-		gsums := make([]float64, g.NumProfiles)
-		gcounts := make([]int64, g.NumProfiles)
-		for i, r := range rs {
-			s, c := r.Float64s(), r.Int64s()
-			if err := px.checkFrame(r, len(s) == g.NumProfiles && len(c) == g.NumProfiles); err != nil {
-				return nil, nil, err
-			}
-			// Ownership scatter: a row's value comes from its one owner,
-			// never an element-wise sum (which could disturb IEEE signed
-			// zeros).
-			for u := range s {
-				if int(owners[u]) == i {
-					gsums[u], gcounts[u] = s[u], c[u]
-				}
-			}
-		}
-		total, _ := prune.FoldRowSums(gsums, gcounts)
-		theta := total / float64(numEdges)
-		return func(_, _ int32, w float64) bool { return w >= theta }, nil, nil
-
-	case metablocking.CEP:
-		if numEdges == 0 {
-			return nil, nil, nil
-		}
-		k := opt.K
-		if k <= 0 {
-			k = prune.CEPBudget(g.BlockCounts)
-		}
-		if k > numEdges {
-			k = numEdges
-		}
-		if k <= 0 {
-			return nil, nil, nil
-		}
-		cut, greater, ties, err := px.selectCutExchanged(ctx, g, k)
-		if err != nil {
-			return nil, nil, err
-		}
-		rem := int64(k - greater)
-		if rem >= int64(ties) {
-			return func(_, _ int32, w float64) bool { return w >= cut }, nil, nil
-		}
-		if rem <= 0 {
-			return func(_, _ int32, w float64) bool { return w > cut }, nil, nil
-		}
-		taken, err := px.takenTiesExchanged(ctx, g, cut, rem, owners)
-		if err != nil {
-			return nil, nil, err
-		}
-		return func(u, v int32, w float64) bool {
-			if w > cut {
-				return true
-			}
-			if w != cut {
-				return false
-			}
-			lo, hi := u, v
-			if hi < lo {
-				lo, hi = hi, lo
-			}
-			_, ok := slices.BinarySearchFunc(taken, model.IDPair{U: lo, V: hi}, comparePairs)
-			return ok
-		}, nil, nil
-
-	case metablocking.WNP1, metablocking.WNP2:
-		th, err := prune.MeanThresholds(ctx, g, opt.Workers)
-		if err != nil {
-			return nil, nil, err
-		}
-		gth, err := px.exchangeThresholds(th, owners)
-		if err != nil {
-			return nil, nil, err
-		}
-		redefined := opt.Pruning == metablocking.WNP1
-		return func(u, v int32, w float64) bool {
-			overU, overV := w >= gth[u], w >= gth[v]
-			if redefined {
-				return overU || overV
-			}
-			return overU && overV
-		}, gth, nil
-
-	case metablocking.BlastWNP:
-		th, err := prune.BlastThresholds(ctx, g, opt.C, opt.Workers)
-		if err != nil {
-			return nil, nil, err
-		}
-		gth, err := px.exchangeThresholds(th, owners)
-		if err != nil {
-			return nil, nil, err
-		}
-		d := opt.D
-		if d <= 0 {
-			d = 2
-		}
-		return func(u, v int32, w float64) bool {
-			return w >= (gth[u]+gth[v])/d
-		}, gth, nil
-
-	case metablocking.CNP1, metablocking.CNP2:
-		if numEdges == 0 {
-			return nil, nil, nil
-		}
-		k := opt.K
-		if k <= 0 {
-			k = prune.CNPBudget(g.BlockCounts)
-		}
-		if k == 0 {
-			return nil, nil, nil
-		}
-		offsets, ids, err := prune.RowTopKMarks(ctx, g, k, opt.Workers)
-		if err != nil {
-			return nil, nil, err
-		}
-		var w shard.FrameWriter
-		w.Int64s(offsets)
-		w.Int32s(ids)
-		rs, err := px.gather(&w)
-		if err != nil {
-			return nil, nil, err
-		}
-		goff, gids, err := px.mergeTopKMarks(rs, g.NumProfiles, owners)
-		if err != nil {
-			return nil, nil, err
-		}
-		marked := func(u, v int32) bool {
-			lo, hi := goff[u], goff[u+1]
-			_, ok := slices.BinarySearch(gids[lo:hi], v)
-			return ok
-		}
-		redefined := opt.Pruning == metablocking.CNP1
-		return func(u, v int32, _ float64) bool {
-			mu, mv := marked(u, v), marked(v, u)
-			if redefined {
-				return mu || mv
-			}
-			return mu && mv
-		}, nil, nil
-
-	default:
-		return nil, nil, fmt.Errorf("blast: unknown pruning %d", int(opt.Pruning))
-	}
-}
-
-// selectCutExchanged drives the CutScan refinement with shard-merged
-// counting histograms: each round, every shard counts its owned rows at
-// the scan's prefix/shift, the histograms fold in shard order, and one
-// Step advances — at most four rounds, exactly like the local
-// selection.
-func (px *partIndex) selectCutExchanged(ctx context.Context, g *graph.CSR, k int) (cut float64, greater, ties int, err error) {
-	cs := prune.NewCutScan(k)
-	for {
-		counts, kmin, kmax, err := prune.CountCutHist(ctx, g, px.opt.Workers, cs.Prefix(), cs.Shift())
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		var w shard.FrameWriter
-		w.Int64s(counts)
-		w.Uint64s(kmin)
-		w.Uint64s(kmax)
-		rs, err := px.gather(&w)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		mc, mmin, mmax := prune.NewCutHist()
-		for _, r := range rs {
-			oc, omin, omax := r.Int64s(), r.Uint64s(), r.Uint64s()
-			if err := px.checkFrame(r, len(oc) == len(mc) && len(omin) == len(mmin) && len(omax) == len(mmax)); err != nil {
-				return 0, 0, 0, err
-			}
-			prune.MergeCutHist(mc, mmin, mmax, oc, omin, omax)
-		}
-		if cs.Step(mc, mmin, mmax) {
-			cut, greater, ties = cs.Cut()
-			return cut, greater, ties, nil
-		}
-	}
-}
-
-// takenTiesExchanged resolves CEP's partial tie budget: per-row tie
-// counts are exchanged and prefix-summed into global tie ordinals, each
-// shard collects its owned rows' within-budget ties, and the disjoint
-// per-shard sets merge into THE global taken-tie set every owner marks
-// against.
-func (px *partIndex) takenTiesExchanged(ctx context.Context, g *graph.CSR, cut float64, rem int64, owners []uint8) ([]model.IDPair, error) {
-	ties, err := prune.RowTieCounts(ctx, g, px.opt.Workers, cut)
-	if err != nil {
-		return nil, err
-	}
-	var w shard.FrameWriter
-	w.Int64s(ties)
-	rs, err := px.gather(&w)
-	if err != nil {
-		return nil, err
-	}
-	gties := make([]int64, g.NumProfiles)
-	for i, r := range rs {
-		v := r.Int64s()
-		if err := px.checkFrame(r, len(v) == g.NumProfiles); err != nil {
-			return nil, err
-		}
-		for u := range v {
-			if int(owners[u]) == i {
-				gties[u] = v[u]
-			}
-		}
-	}
-	// tieBase[u]: the global ordinal of row u's first tie.
-	tieBase := make([]int64, g.NumProfiles)
-	base := int64(0)
-	for u, n := range gties {
-		tieBase[u] = base
-		base += n
-	}
-	own, err := prune.CEPTakenTies(ctx, g, px.opt.Workers, cut, rem, tieBase)
-	if err != nil {
-		return nil, err
-	}
-	var tw shard.FrameWriter
-	tw.Pairs(own)
-	trs, err := px.gather(&tw)
-	if err != nil {
-		return nil, err
-	}
-	parts := make([][]model.IDPair, len(trs))
-	for i, r := range trs {
-		parts[i] = r.Pairs()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return shard.MergePairs(parts), nil
-}
-
-// exchangeThresholds all-gathers owned per-node threshold rows and
-// scatters them by ownership into the global vector.
-func (px *partIndex) exchangeThresholds(th []float64, owners []uint8) ([]float64, error) {
-	var w shard.FrameWriter
-	w.Float64s(th)
-	rs, err := px.gather(&w)
-	if err != nil {
-		return nil, err
-	}
-	gth := make([]float64, len(th))
-	for i, r := range rs {
-		v := r.Float64s()
-		if err := px.checkFrame(r, len(v) == len(th)); err != nil {
-			return nil, err
-		}
-		for u := range v {
-			if int(owners[u]) == i {
-				gth[u] = v[u]
-			}
-		}
-	}
-	return gth, nil
-}
-
-// mergeTopKMarks scatters per-shard owned top-k mark lists into the
-// global per-row list table.
-func (px *partIndex) mergeTopKMarks(rs []*shard.FrameReader, np int, owners []uint8) ([]int64, []int32, error) {
-	offs := make([][]int64, len(rs))
-	idss := make([][]int32, len(rs))
-	for i, r := range rs {
-		offs[i] = r.Int64s()
-		idss[i] = r.Int32s()
-		if err := px.checkFrame(r, len(offs[i]) == np+1); err != nil {
-			return nil, nil, err
-		}
-	}
-	goff := make([]int64, np+1)
-	for u := 0; u < np; u++ {
-		o := offs[owners[u]]
-		goff[u+1] = goff[u] + (o[u+1] - o[u])
-	}
-	gids := make([]int32, goff[np])
-	for u := 0; u < np; u++ {
-		s := owners[u]
-		copy(gids[goff[u]:goff[u+1]], idss[s][offs[s][u]:offs[s][u+1]])
-	}
-	return goff, gids, nil
-}
-
-// gather runs one exchange round: contribute this shard's frame, wait
-// for all peers, wrap every frame in a reader.
-func (px *partIndex) gather(w *shard.FrameWriter) ([]*shard.FrameReader, error) {
-	frames, err := px.ex.Gather(px.part, w.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	rs := make([]*shard.FrameReader, len(frames))
-	for i, f := range frames {
-		rs[i] = shard.NewFrameReader(f)
-	}
-	return rs, nil
-}
-
-// gatherInt32Scatter runs the degree round: exchange the owned degree
-// vector and scatter the peers' owned rows into it in place.
-func (px *partIndex) gatherInt32Scatter(w *shard.FrameWriter, owners []uint8, dst []int32) error {
-	rs, err := px.gather(w)
-	if err != nil {
-		return err
-	}
-	for i, r := range rs {
-		v := r.Int32s()
-		if err := px.checkFrame(r, len(v) == len(dst)); err != nil {
-			return err
-		}
-		if i == px.part {
-			continue
-		}
-		for u := range v {
-			if int(owners[u]) == i {
-				dst[u] = v[u]
-			}
-		}
-	}
-	return nil
-}
-
-// checkFrame folds a reader's sticky decode error together with a
-// structural expectation into one failure.
-func (px *partIndex) checkFrame(r *shard.FrameReader, ok bool) error {
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("blast: misshapen exchange frame on shard %d", px.part)
-	}
-	return nil
-}
-
-// ownerTable precomputes profile → owning shard (shard counts are
-// capped at 256, so a byte suffices).
-func ownerTable(np, nparts int) []uint8 {
-	t := make([]uint8, np)
-	for u := range t {
-		t[u] = uint8(shard.Owner(int32(u), nparts))
-	}
-	return t
-}
-
-// comparePairs orders pairs canonically for the tie-set binary search.
-func comparePairs(a, b model.IDPair) int {
-	switch {
-	case a.U < b.U:
-		return -1
-	case a.U > b.U:
-		return 1
-	case a.V < b.V:
-		return -1
-	case a.V > b.V:
-		return 1
-	default:
-		return 0
-	}
 }

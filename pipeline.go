@@ -33,6 +33,7 @@ import (
 	"blast/internal/metablocking"
 	"blast/internal/metrics"
 	"blast/internal/model"
+	"blast/internal/prune"
 	"blast/internal/supervised"
 	"blast/internal/text"
 )
@@ -241,6 +242,12 @@ func metaConfigFromOptions(o Options) metablocking.Config {
 		Workers: o.Workers,
 		Spill:   o.spillOptions(),
 	}
+}
+
+// pruneParams maps validated options onto the knobs of the retention
+// decision (prune.Decide), for the writers that make it themselves.
+func pruneParams(o Options) prune.Params {
+	return prune.Params{Pruning: o.Pruning, C: o.C, D: o.D, K: o.K, Workers: o.Workers}
 }
 
 // metaConfig maps the pipeline options onto the meta-blocking
